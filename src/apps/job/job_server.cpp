@@ -1,7 +1,6 @@
 #include "apps/job/job_server.hpp"
 
 #include <chrono>
-#include <thread>
 
 #include "apps/job/kernels.hpp"
 #include "core/api.hpp"
@@ -87,8 +86,7 @@ void JobServer::run_job(JobType t) {
 }
 
 void JobServer::inject(JobType t, std::uint64_t arrival_ns) {
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  rt_->submit(priority_of(t), [this, t, arrival_ns] {
+  Future<void> f = rt_->submit(priority_of(t), [this, t, arrival_ns] {
     // Attribute from the open-loop arrival; the job's internal spawn/sync
     // parallelism rides the root chain (children tag I/O, the root drives
     // phases — see obs/reqtrace.hpp).
@@ -96,13 +94,25 @@ void JobServer::inject(JobType t, std::uint64_t arrival_ns) {
     run_job(t);
     rt_->req_end();
     hist_[static_cast<int>(t)].record(now_ns() - arrival_ns);
-    outstanding_.fetch_sub(1, std::memory_order_acq_rel);
   });
+  std::lock_guard<std::mutex> g(pending_mu_);
+  // Keep only jobs that may still be running, so the queue stays as short
+  // as the backlog between drains.
+  while (!pending_.empty() && pending_.front().ready()) pending_.pop_front();
+  pending_.push_back(std::move(f));
 }
 
 void JobServer::drain() {
-  while (outstanding_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (;;) {
+    Future<void> f;
+    {
+      std::lock_guard<std::mutex> g(pending_mu_);
+      if (pending_.empty()) return;
+      f = std::move(pending_.front());
+      pending_.pop_front();
+    }
+    // The future completes in the task's epilogue, after its last park.
+    f.get();
   }
 }
 

@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -57,6 +59,9 @@ class JobServer {
 
   /// Schedules one job; latency measured from `arrival_ns` to completion.
   void inject(JobType t, std::uint64_t arrival_ns);
+  /// Returns once every injected job's task has finished, not just its
+  /// body: a policy may still park a task after its body returns, and
+  /// shutting down then would strand the parked fiber.
   void drain();
 
   load::Histogram& histogram(JobType t) { return hist_[static_cast<int>(t)]; }
@@ -80,7 +85,8 @@ class JobServer {
   std::vector<std::uint32_t> ints_;
   std::vector<char> dna_a_, dna_b_;
   load::Histogram hist_[kJobTypeCount];
-  std::atomic<std::uint64_t> outstanding_{0};
+  std::mutex pending_mu_;
+  std::deque<Future<void>> pending_;  ///< injected jobs, oldest first
   std::atomic<std::uint64_t> sink_{0};
 };
 
