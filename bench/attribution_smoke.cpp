@@ -98,7 +98,7 @@ double sample_after(const std::string& text, const std::string& needle) {
 }  // namespace
 
 int main() {
-  if (!obs::reqtrace_compiled_in()) {
+  if (!obs::hooks_compiled_in()) {
     std::printf("RESULT smoke=attribution skipped=reqtrace_off\n");
     return 0;
   }

@@ -3,9 +3,8 @@
 //
 // Modes (RESULT lines consumed by bench/run_baseline.sh):
 //   sync_noop     sync() with no outstanding children — the pure pre-op
-//                 promptness gate. With the inlined gate armed this is a
-//                 handful of loads; with ICILK_NO_PREOP_GATE=1 it is the
-//                 virtual PromptScheduler::pre_op_check.
+//                 promptness gate. With the inlined gate armed (Prompt at
+//                 check_period 1, the default) this is a handful of loads.
 //   get_ready     Future::get() on an already-completed future — the
 //                 inlined future_wait fast path that every I/O operation
 //                 whose syscall completed inline takes.
@@ -15,10 +14,6 @@
 //                 closure publish, worker wake, run, completion, external
 //                 notify. The end-to-end task round trip a connection
 //                 accept pays.
-//
-// Run both ways for the before/after cost model in DESIGN.md:
-//   ./bench/micro_sched_hotpath                      # inline gate armed
-//   ICILK_NO_PREOP_GATE=1 ./bench/micro_sched_hotpath
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -71,7 +66,7 @@ int main(int argc, char** argv) {
   const bool gate_on = rt.scheduler().preop_fast_bits() != nullptr;
 
   std::printf("scheduler hot-path micro-bench (pre-op gate %s)\n",
-              gate_on ? "INLINE" : "VIRTUAL  [ICILK_NO_PREOP_GATE=1]");
+              gate_on ? "INLINE" : "VIRTUAL");
   std::printf("%-12s %12s %10s\n", "mode", "ops/s", "ns/op");
 
   const auto noop_ops = static_cast<std::uint64_t>(2000000 * scale);

@@ -7,9 +7,9 @@
 //                enabled), against a LIVE ticking TimeSeries (the per-
 //                request record: one acquire load + a lock-free histogram
 //                record), and the bare loop baseline. Under
-//                -DICILK_TIMESERIES=OFF the hook inlines to nothing and
+//                -DICILK_HOOKS=OFF the hook inlines to nothing and
 //                both hook rows must collapse to the baseline —
-//                scripts/soak.sh gates on that in its tsoff phase.
+//                scripts/soak.sh gates on that in its hooksoff phase.
 //   mc rows      minicached at 10k rps with the ticker off vs on (4
 //                interleaved pairs, min-filtered on mean latency); the
 //                overhead row reports the mean-latency delta. The
@@ -61,7 +61,7 @@ double timed_loop(Fn&& fn) {
 void hook_row(const char* mode, double ns_op) {
   std::printf("RESULT bench=timeseries mode=%s compiled_in=%d ops=%llu "
               "ns_per_op=%.2f\n",
-              mode, obs::timeseries_compiled_in() ? 1 : 0,
+              mode, obs::hooks_compiled_in() ? 1 : 0,
               static_cast<unsigned long long>(kOps), ns_op);
 }
 

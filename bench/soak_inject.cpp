@@ -89,7 +89,7 @@ void soak_minicached(double duration_s, std::uint64_t seed,
         "accounting");
   check(completed > 0, "minicached", "progress");
   if (ppm != 0) {
-    check(engine.injected() > 0 || !inject::compiled_in(), "minicached",
+    check(engine.injected() > 0 || !obs::hooks_compiled_in(), "minicached",
           "faults_fired");
   }
   if (const obs::Watchdog* wd = server.runtime().watchdog()) {
@@ -128,7 +128,7 @@ void soak_email(double duration_s, std::uint64_t seed, std::uint32_t ppm) {
   // histograms to show real completions and the faults to have fired.
   check(done > 0, "email", "drained");
   if (ppm != 0) {
-    check(engine.injected() > 0 || !inject::compiled_in(), "email",
+    check(engine.injected() > 0 || !obs::hooks_compiled_in(), "email",
           "faults_fired");
   }
 }
@@ -152,7 +152,7 @@ void soak_job(double duration_s, std::uint64_t seed, std::uint32_t ppm) {
               done, engine.injected(), res.sched_stats.mugs);
   check(done > 0, "job", "drained");
   if (ppm != 0) {
-    check(engine.injected() > 0 || !inject::compiled_in(), "job",
+    check(engine.injected() > 0 || !obs::hooks_compiled_in(), "job",
           "faults_fired");
   }
 }
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
 
   std::printf("soak_inject: duration=%.1fs seed=%" PRIu64
               " rate=%uppm compiled_in=%d\n",
-              duration_s, seed, ppm, inject::compiled_in() ? 1 : 0);
+              duration_s, seed, ppm, obs::hooks_compiled_in() ? 1 : 0);
 
   soak_minicached(duration_s, seed, ppm);
   soak_email(duration_s, seed, ppm);

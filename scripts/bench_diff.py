@@ -20,7 +20,8 @@ symlink run_baseline.sh maintains is excluded (it aliases a real
 capture).
 
 Exit code: 0 = no regression beyond threshold, 1 = regression(s),
-2 = usage / parse error. Build-flag mismatches between the two captures
+2 = usage / parse error, or captures from different schedulers or
+host core counts (refused). Build-flag mismatches between the two captures
 are warned about (an OFF-build baseline is not comparable to an ON one)
 but do not by themselves fail the diff.
 """
@@ -215,17 +216,17 @@ def main():
             return 2
     old_doc, new_doc = docs
 
-    # Captures taken under different schedulers measure different systems:
-    # refuse outright rather than report spurious "regressions". Older
-    # captures without the stamp (pre-scheduler-framework) skip the check.
-    sched_old = old_doc.get("scheduler")
-    sched_new = new_doc.get("scheduler")
-    if sched_old is not None and sched_new is not None \
-            and sched_old != sched_new:
-        print(f"bench_diff: scheduler mismatch: {args.old} was captured "
-              f"under '{sched_old}' but {args.new} under '{sched_new}'; "
-              f"refusing to diff", file=sys.stderr)
-        return 2
+    # Captures taken under different schedulers, or on hosts with different
+    # core counts, measure different systems: refuse outright rather than
+    # report spurious "regressions". Older captures without a stamp skip
+    # that check.
+    for stamp in ("scheduler", "host_cores"):
+        a, b = old_doc.get(stamp), new_doc.get(stamp)
+        if a is not None and b is not None and a != b:
+            print(f"bench_diff: {stamp} mismatch: {args.old} has {a!r} "
+                  f"but {args.new} has {b!r}; refusing to diff",
+                  file=sys.stderr)
+            return 2
 
     flags_old = old_doc.get("build_flags") or {}
     flags_new = new_doc.get("build_flags") or {}

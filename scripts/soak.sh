@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Chaos-soak orchestrator for the fault-injection subsystem (src/inject/).
+# Chaos-soak orchestrator for the fault-injection subsystem (src/inject/)
+# and the compile-out check for every observability hook.
 #
 # Phases (default: all):
 #   tsan      build with ICILK_SANITIZE=thread, run `ctest -L inject` plus
@@ -7,46 +8,21 @@
 #             windows surface here;
 #   asan      same under ICILK_SANITIZE=address (lifetime bugs on the
 #             faulted paths: recycled ops, cancelled fds, dead deques);
-#   offcheck  build with ICILK_INJECT=OFF and PROVE the zero-overhead
-#             contract: (a) the hot-path objects (reactor, scheduler,
-#             runtime) contain no reference to any inject symbol, and
-#             (b) micro_inject_overhead's probe loop costs the same as its
-#             plain baseline loop.
 #   attribution
-#             run bench/attribution_smoke against the default build: a
+#             against the default build: run bench/attribution_smoke (a
 #             live minicached under TCP load, then scrape /metrics and
 #             /latency and assert the phase histograms are non-empty and
-#             the worst-K timelines parse.
-#   reqoff    build with ICILK_TRACE=OFF ICILK_REQTRACE=OFF and prove the
-#             request-tracing compile-out: (a) the hot-path objects carry
-#             no live ReqContext/TLS-binding symbols, and (b)
-#             micro_reqtrace's attributed runtime loop costs the same as
-#             its unattributed baseline loop.
-#   wdoff     build with ICILK_WATCHDOG=OFF and prove the watchdog
-#             compile-out: (a) the hot-path objects carry no watchdog
-#             symbols (census hooks, state publication, Watchdog class),
-#             (b) micro_watchdog's hook loops cost the same as its plain
-#             baseline loop, and (c) `ctest -L obs` still passes (the
-#             hook-dependent cases skip).
-#   profoff   build with ICILK_PROFILE=OFF and prove the profiler
-#             compile-out: (a) the hot-path objects carry no prof hooks
-#             (context stores, thread registration), (b) micro_profiler's
-#             hook loops cost the same as its plain baseline loop, and
-#             (c) `ctest -L obs` still passes (attribution cases skip).
-#   tsoff     build with ICILK_TIMESERIES=OFF and prove the time-series
-#             compile-out: (a) the hot-path objects carry no TimeSeries
-#             references (the ts_note_request hook must fold away), (b)
-#             micro_timeseries' hook loops cost the same as its plain
-#             baseline loop, and (c) `ctest -L obs` still passes (the
-#             class stays compiled; enablement cases skip).
-#   spoff     build with ICILK_SPANPROF=OFF and prove the work/span
-#             profiler compile-out: (a) the hot-path objects carry no
-#             spanprof symbols (sp_dispatch/sp_strand_now/sp_note_overhead
-#             and friends must fold away), (b) micro_spanprof's hook loops
-#             cost the same as its plain baseline loop, and (c)
-#             `ctest -L obs` still passes (the closed-form cases skip).
+#             the worst-K timelines parse), then a clean-mode soak_inject
+#             (rate 0, watchdog sampler live) that must trip no invariant;
+#   hooksoff  build with ICILK_HOOKS=OFF and prove the zero-overhead
+#             contract: (a) the hot-path objects (reactor, scheduler
+#             policies, runtime) carry none of the hook symbols in
+#             HOOK_SYMBOLS, (b) every hook-pricing row in HOOK_PRICING
+#             costs at most its bound times its baseline row, and (c)
+#             `ctest -L 'inject|obs'` passes with the hook-dependent cases
+#             skipping.
 #
-# Usage: scripts/soak.sh [tsan|asan|offcheck|attribution|reqoff|wdoff|profoff|tsoff|spoff|all] \
+# Usage: scripts/soak.sh [tsan|asan|attribution|hooksoff|all] \
 #                        [soak-duration-s] [seed]
 set -uo pipefail
 
@@ -85,62 +61,6 @@ run_sanitizer_phase() { # run_sanitizer_phase <name> <ICILK_SANITIZE value>
   fi
 }
 
-run_offcheck_phase() {
-  local dir="$REPO_ROOT/build-soak-injectoff"
-  note "offcheck: building (ICILK_INJECT=OFF)"
-  if ! build "$dir" -DICILK_INJECT=OFF; then
-    fail "offcheck build"
-    return
-  fi
-
-  # (a) No inject symbol may be referenced (or emitted) by the hot-path
-  # translation units. The itanium-mangled namespace is ...6injectE-free:
-  # any occurrence of "6inject" means a hook survived the compile-out.
-  note "offcheck: hot-path objects reference no inject symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "offcheck: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q '6inject'; then
-      fail "offcheck: $o still references inject symbols:"
-      nm "$dir/$o" | grep '6inject' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
-
-  # (b) probe() folded to nothing: the probe loop and the baseline loop
-  # must cost the same (<1.5x, far under the >2x an extra load+branch or a
-  # call would show). Uses google-benchmark CSV output.
-  note "offcheck: micro_inject_overhead probe == baseline"
-  local csv
-  csv="$("$dir/bench/micro_inject_overhead" --benchmark_format=csv \
-        2>/dev/null | tr -d '"')"
-  local base probe
-  base="$(echo "$csv" | awk -F, '$1 == "BM_Baseline" {print $4}')"
-  probe="$(echo "$csv" | awk -F, '$1 == "BM_ProbeNoEngine" {print $4}')"
-  echo "BM_Baseline=${base}ns BM_ProbeNoEngine=${probe}ns"
-  if [ -z "$base" ] || [ -z "$probe" ]; then
-    fail "offcheck: could not parse micro_inject_overhead output"
-  elif ! awk -v b="$base" -v p="$probe" 'BEGIN { exit !(p <= b * 1.5) }'; then
-    fail "offcheck: probe loop ${probe}ns vs baseline ${base}ns (>1.5x)"
-  fi
-
-  # The engine itself still works compiled-out (tests skip the hook cases).
-  note "offcheck: ctest -L inject (OFF build)"
-  if ! (cd "$dir" && ctest -L inject --output-on-failure -j 2); then
-    fail "offcheck ctest -L inject"
-  fi
-}
-
 run_attribution_phase() {
   local dir="$REPO_ROOT/build"
   note "attribution: building (default flags)"
@@ -152,364 +72,142 @@ run_attribution_phase() {
   if ! "$dir/bench/attribution_smoke"; then
     fail "attribution smoke (minicached /metrics + /latency scrape)"
   fi
-}
-
-run_reqoff_phase() {
-  local dir="$REPO_ROOT/build-soak-reqoff"
-  note "reqoff: building (ICILK_TRACE=OFF ICILK_REQTRACE=OFF)"
-  if ! build "$dir" -DICILK_TRACE=OFF -DICILK_REQTRACE=OFF; then
-    fail "reqoff build"
-    return
-  fi
-
-  # (a) No live request-tracing machinery in the hot-path objects: the
-  # TLS binding accessors and ReqContext member functions must be absent.
-  # (ReqContext may still appear as a mangled POINTER PARAMETER type,
-  # "...10ReqContextE", in always-compiled signatures — that is a type
-  # name, not code; the grep matches members, "ReqContext<len><name>".)
-  note "reqoff: hot-path objects carry no request-tracing symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "reqoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q 'req_set_current\|req_thread_ring\|req_thread_where\|ReqContext[0-9]'; then
-      fail "reqoff: $o still references request-tracing symbols:"
-      nm "$dir/$o" | grep 'req_set_current\|req_thread_ring\|req_thread_where\|ReqContext[0-9]' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
-
-  # (b) req_begin/req_end folded to stubs: the attributed runtime loop in
-  # micro_reqtrace must cost the same as its unattributed baseline
-  # (<1.4x; live attribution shows ~2x on this loop).
-  note "reqoff: micro_reqtrace attributed == baseline"
-  local out base probe
-  out="$("$dir/bench/micro_reqtrace" 2>/dev/null)"
-  echo "$out"
-  base="$(echo "$out" | awk '/mode=runtime_base/ { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  probe="$(echo "$out" | awk '/mode=runtime / { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  if [ -z "$base" ] || [ -z "$probe" ]; then
-    fail "reqoff: could not parse micro_reqtrace output"
-  elif ! awk -v b="$base" -v p="$probe" 'BEGIN { exit !(p <= b * 1.4) }'; then
-    fail "reqoff: attributed loop ${probe}ns vs baseline ${base}ns (>1.4x)"
-  else
-    echo "runtime_base=${base}ns runtime=${probe}ns"
-  fi
-
-  # The OFF build must still pass its own tests (obs label: the class
-  # stays compiled, hook-dependent cases skip).
-  note "reqoff: ctest -L obs (OFF build)"
-  if ! (cd "$dir" && ctest -L obs --output-on-failure -j 2); then
-    fail "reqoff ctest -L obs"
+  # Rate 0 = no faults: the watchdog sampler runs alongside real load and
+  # must trip no invariant (the false-positive gate).
+  note "attribution: clean-mode soak_inject ${DURATION}s seed=$SEED rate 0"
+  if ! "$dir/bench/soak_inject" "$DURATION" "$SEED" 0; then
+    fail "clean-mode soak (replay: soak_inject $DURATION $SEED 0)"
   fi
 }
 
-run_wdoff_phase() {
-  local dir="$REPO_ROOT/build-soak-wdoff"
-  note "wdoff: building (ICILK_WATCHDOG=OFF)"
-  if ! build "$dir" -DICILK_WATCHDOG=OFF; then
-    fail "wdoff build"
-    return
-  fi
+# Hot-path translation units: every hook site in the scheduler, deque,
+# runtime and reactor is compiled into one of these.
+HOT_PATH_OBJECTS=(
+  "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
+  "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
+  "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
+  "src/core/CMakeFiles/icilk_core.dir/policy/adaptive_policy.cpp.o"
+  "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
+)
 
-  # (a) No watchdog machinery in the hot-path objects: the census hooks,
-  # the worker-state publication helper, and the Watchdog class itself
-  # ("...8Watchdog" mangled) must be absent. wd_publish_state is a
-  # constexpr-inline store so it leaves no symbol either way; the grep
-  # catches a non-folded out-of-line survivor.
-  note "wdoff: hot-path objects carry no watchdog symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "wdoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q 'wd_census\|wd_publish_state\|8Watchdog'; then
-      fail "wdoff: $o still references watchdog symbols:"
-      nm "$dir/$o" | grep 'wd_census\|wd_publish_state\|8Watchdog' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
+# Symbols that must not survive ICILK_HOOKS=OFF, one subsystem per row:
+#   inject     the itanium-mangled namespace (any "6inject" is a live probe);
+#   reqtrace   TLS binding accessors and ReqContext members ("ReqContext"
+#              followed by a length; a bare ReqContext pointer parameter in
+#              an always-compiled signature is a type name, not code);
+#   watchdog   census hooks, state publication and the Watchdog class;
+#   profiler   TLS context stores, thread registration, Profiler class;
+#   timeseries the TimeSeries class (ts_note_request must fold away);
+#   spanprof   strand-clock accessors and the burden estimator.
+HOOK_SYMBOLS=(
+  '6inject'
+  'req_set_current\|req_thread_ring\|req_thread_where\|ReqContext[0-9]'
+  'wd_census\|wd_publish_state\|8Watchdog'
+  'prof_set_context\|prof_context\|prof_register_thread\|prof_unregister_thread\|8Profiler'
+  '10TimeSeries\|ts_note_request'
+  'sp_dispatch\|sp_undispatch\|sp_strand_now\|sp_note_overhead\|sp_overhead_est'
+)
 
-  # (b) The hooks folded to nothing: the state-publication and census-note
-  # loops in micro_watchdog must cost the same as the plain baseline loop
-  # (<1.5x; the live census hook's hashed registry shows ~60x on this
-  # loop, so the margin is unambiguous).
-  note "wdoff: micro_watchdog hooks == baseline"
-  local csv base pub census
-  csv="$("$dir/bench/micro_watchdog" --benchmark_format=csv \
-        2>/dev/null | tr -d '"')"
-  base="$(echo "$csv" | awk -F, '$1 == "BM_Baseline" {print $4}')"
-  pub="$(echo "$csv" | awk -F, '$1 == "BM_PublishState" {print $4}')"
-  census="$(echo "$csv" | awk -F, '$1 == "BM_CensusNote" {print $4}')"
-  echo "BM_Baseline=${base}ns BM_PublishState=${pub}ns BM_CensusNote=${census}ns"
-  if [ -z "$base" ] || [ -z "$pub" ] || [ -z "$census" ]; then
-    fail "wdoff: could not parse micro_watchdog output"
-  else
-    if ! awk -v b="$base" -v p="$pub" 'BEGIN { exit !(p <= b * 1.5) }'; then
-      fail "wdoff: publish-state loop ${pub}ns vs baseline ${base}ns (>1.5x)"
-    fi
-    if ! awk -v b="$base" -v p="$census" 'BEGIN { exit !(p <= b * 1.5) }'; then
-      fail "wdoff: census-note loop ${census}ns vs baseline ${base}ns (>1.5x)"
-    fi
-  fi
+# Hook-pricing rows: "<bench and args>|<baseline row>|<bound>|<hook rows>".
+# In the OFF build every hook row must cost at most <bound> x baseline.
+# Compiled in, the live hooks sit far above these bounds (census ~60x,
+# armed spanprof ~10-100x, live reqtrace ~2x), so a hook that escaped the
+# compile-out cannot hide under them.
+HOOK_PRICING=(
+  "micro_obs_hooks --benchmark_format=csv|BM_Baseline|1.5|BM_inject_probe BM_watchdog_publish_state BM_watchdog_census_note BM_profiler_set_context BM_profiler_scope"
+  "micro_reqtrace|runtime_base|1.4|runtime"
+  "micro_timeseries hooks|base|1.5|hook_null hook_live"
+  "micro_spanprof hooks|base|1.5|hook_disarmed hook_dispatch_pair hook_event hook_dispatch_pair_precise hook_event_precise"
+)
 
-  # (c) The OFF build still passes the observability tests (detector unit
-  # tests run against the always-compiled class; runtime-integration cases
-  # skip).
-  note "wdoff: ctest -L obs (OFF build)"
-  if ! (cd "$dir" && ctest -L obs --output-on-failure -j 2); then
-    fail "wdoff ctest -L obs"
-  fi
-
-  # (d) Clean-mode soak: watchdog sampler alongside real load with zero
-  # invariant trips required (rate 0 = no faults, the false-positive
-  # gate) — in the DEFAULT build, where the watchdog is live.
-  note "wdoff: clean-mode soak (default build, watchdog on, rate 0)"
-  if [ -x "$REPO_ROOT/build/bench/soak_inject" ]; then
-    if ! "$REPO_ROOT/build/bench/soak_inject" "$DURATION" "$SEED" 0; then
-      fail "wdoff clean-mode soak (replay: soak_inject $DURATION $SEED 0)"
-    fi
-  else
-    echo "skipping clean-mode soak (build/bench/soak_inject not built)"
-  fi
+# bench_rows <binary> [args...]: one "<row> <ns_per_op>" line per result,
+# from google-benchmark CSV (row = benchmark name) or from RESULT lines
+# (row = the mode= field).
+bench_rows() {
+  "$@" 2>/dev/null | awk '
+    /^RESULT/ {
+      m = ""; v = ""
+      for (i = 1; i <= NF; i++) {
+        if ($i ~ /^mode=/) m = substr($i, 6)
+        else if ($i ~ /^ns_per_op=/) v = substr($i, 11)
+      }
+      if (m != "" && v != "") print m, v
+      next
+    }
+    /^"?BM_/ { gsub(/"/, ""); split($0, f, ","); print f[1], f[4] }'
 }
 
-run_profoff_phase() {
-  local dir="$REPO_ROOT/build-soak-profoff"
-  note "profoff: building (ICILK_PROFILE=OFF)"
-  if ! build "$dir" -DICILK_PROFILE=OFF; then
-    fail "profoff build"
+run_hooksoff_phase() {
+  local dir="$REPO_ROOT/build-soak-hooksoff"
+  note "hooksoff: building (ICILK_HOOKS=OFF)"
+  if ! build "$dir" -DICILK_HOOKS=OFF; then
+    fail "hooksoff build"
     return
   fi
 
-  # (a) No profiler machinery in the hot-path objects: the TLS context
-  # accessors and thread-registration hooks must be absent. (The Profiler
-  # class itself stays compiled in icilk_obs — endpoints and tests drive
-  # it — but the runtime/scheduler/reactor objects must not reference it:
-  # "8Profiler" in a hot-path object means a hook survived.)
-  note "profoff: hot-path objects carry no profiler symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/adaptive_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
+  note "hooksoff: hot-path objects carry no hook symbols"
+  local o pattern
+  for o in "${HOT_PATH_OBJECTS[@]}"; do
     if [ ! -f "$dir/$o" ]; then
-      fail "profoff: missing object $o"
+      fail "hooksoff: missing object $o"
       continue
     fi
-    if nm "$dir/$o" | grep -q 'prof_set_context\|prof_context\|prof_register_thread\|prof_unregister_thread\|8Profiler'; then
-      fail "profoff: $o still references profiler symbols:"
-      nm "$dir/$o" | grep 'prof_set_context\|prof_context\|prof_register_thread\|prof_unregister_thread\|8Profiler' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
-
-  # (b) The hooks folded to nothing: micro_profiler's context-store and
-  # scope loops must cost the same as the plain baseline loop (<1.5x; the
-  # live hooks are TLS stores, ~2-4x on this loop).
-  note "profoff: micro_profiler hooks == baseline"
-  local csv base setctx scope
-  csv="$("$dir/bench/micro_profiler" --benchmark_format=csv \
-        2>/dev/null | tr -d '"')"
-  base="$(echo "$csv" | awk -F, '$1 == "BM_Baseline" {print $4}')"
-  setctx="$(echo "$csv" | awk -F, '$1 == "BM_SetContext" {print $4}')"
-  scope="$(echo "$csv" | awk -F, '$1 == "BM_ProfScope" {print $4}')"
-  echo "BM_Baseline=${base}ns BM_SetContext=${setctx}ns BM_ProfScope=${scope}ns"
-  if [ -z "$base" ] || [ -z "$setctx" ] || [ -z "$scope" ]; then
-    fail "profoff: could not parse micro_profiler output"
-  else
-    if ! awk -v b="$base" -v p="$setctx" 'BEGIN { exit !(p <= b * 1.5) }'; then
-      fail "profoff: set-context loop ${setctx}ns vs baseline ${base}ns (>1.5x)"
-    fi
-    if ! awk -v b="$base" -v p="$scope" 'BEGIN { exit !(p <= b * 1.5) }'; then
-      fail "profoff: prof-scope loop ${scope}ns vs baseline ${base}ns (>1.5x)"
-    fi
-  fi
-
-  # (c) The OFF build still passes the observability tests (rendering and
-  # window mechanics run against the always-compiled class; attribution
-  # and signal cases skip).
-  note "profoff: ctest -L obs (OFF build)"
-  if ! (cd "$dir" && ctest -L obs --output-on-failure -j 2); then
-    fail "profoff ctest -L obs"
-  fi
-}
-
-run_tsoff_phase() {
-  local dir="$REPO_ROOT/build-soak-tsoff"
-  note "tsoff: building (ICILK_TIMESERIES=OFF)"
-  if ! build "$dir" -DICILK_TIMESERIES=OFF; then
-    fail "tsoff build"
-    return
-  fi
-
-  # (a) No time-series machinery in the hot-path objects: the TimeSeries
-  # class ("...10TimeSeries" mangled) must be absent. ts_note_request is
-  # an empty inline in the OFF build so it leaves no symbol either way;
-  # any TimeSeries reference means a hook survived the compile-out.
-  note "tsoff: hot-path objects carry no time-series symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "tsoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q '10TimeSeries\|ts_note_request'; then
-      fail "tsoff: $o still references time-series symbols:"
-      nm "$dir/$o" | grep '10TimeSeries\|ts_note_request' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
-
-  # (b) The hook folded to nothing: both hook loops in micro_timeseries
-  # (null pointer and live object) must cost the same as the plain
-  # baseline loop (<1.5x; the live record is ~5-10x on this loop when
-  # compiled in).
-  note "tsoff: micro_timeseries hooks == baseline"
-  local out base nullv live
-  out="$("$dir/bench/micro_timeseries" hooks 2>/dev/null)"
-  echo "$out"
-  base="$(echo "$out" | awk '/mode=base / { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  nullv="$(echo "$out" | awk '/mode=hook_null / { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  live="$(echo "$out" | awk '/mode=hook_live / { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  if [ -z "$base" ] || [ -z "$nullv" ] || [ -z "$live" ]; then
-    fail "tsoff: could not parse micro_timeseries output"
-  else
-    if ! awk -v b="$base" -v p="$nullv" 'BEGIN { exit !(p <= b * 1.5) }'; then
-      fail "tsoff: null-hook loop ${nullv}ns vs baseline ${base}ns (>1.5x)"
-    fi
-    if ! awk -v b="$base" -v p="$live" 'BEGIN { exit !(p <= b * 1.5) }'; then
-      fail "tsoff: live-hook loop ${live}ns vs baseline ${base}ns (>1.5x)"
-    fi
-  fi
-
-  # (c) The OFF build still passes the observability tests (ring/digest
-  # mechanics run against the always-compiled class; runtime enablement
-  # cases skip).
-  note "tsoff: ctest -L obs (OFF build)"
-  if ! (cd "$dir" && ctest -L obs --output-on-failure -j 2); then
-    fail "tsoff ctest -L obs"
-  fi
-}
-
-run_spoff_phase() {
-  local dir="$REPO_ROOT/build-soak-spoff"
-  note "spoff: building (ICILK_SPANPROF=OFF)"
-  if ! build "$dir" -DICILK_SPANPROF=OFF; then
-    fail "spoff build"
-    return
-  fi
-
-  # (a) No spanprof machinery in the hot-path objects: the strand-clock
-  # accessors and the burden estimator must be absent. In the OFF build
-  # every sp_* hook is an empty inline, so any "sp_dispatch" /
-  # "sp_strand_now" / "sp_undispatch" / "sp_note_overhead" /
-  # "sp_overhead_est" survivor means a hook escaped the compile-out.
-  note "spoff: hot-path objects carry no spanprof symbols"
-  local objs=(
-    "src/io/CMakeFiles/icilk_io.dir/reactor.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/prompt_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/policy/multiqueue_policy.cpp.o"
-    "src/core/CMakeFiles/icilk_core.dir/runtime.cpp.o"
-  )
-  local o
-  for o in "${objs[@]}"; do
-    if [ ! -f "$dir/$o" ]; then
-      fail "spoff: missing object $o"
-      continue
-    fi
-    if nm "$dir/$o" | grep -q 'sp_dispatch\|sp_undispatch\|sp_strand_now\|sp_note_overhead\|sp_overhead_est'; then
-      fail "spoff: $o still references spanprof symbols:"
-      nm "$dir/$o" | grep 'sp_dispatch\|sp_undispatch\|sp_strand_now\|sp_note_overhead\|sp_overhead_est' | head -5
-    else
-      echo "clean: $o"
-    fi
-  done
-
-  # (b) The hooks folded to nothing: every hook loop in micro_spanprof
-  # (disarmed event, dispatch pair, armed event, both clock modes) must
-  # cost the same as the plain baseline loop (<1.5x; compiled in, the
-  # armed TSC rows are ~10-25x and the precise rows ~100x on this loop).
-  note "spoff: micro_spanprof hooks == baseline"
-  local out base
-  out="$("$dir/bench/micro_spanprof" hooks 2>/dev/null)"
-  echo "$out"
-  base="$(echo "$out" | awk '/mode=base / { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-  if [ -z "$base" ]; then
-    fail "spoff: could not parse micro_spanprof output"
-  else
-    local mode val
-    for mode in hook_disarmed hook_dispatch_pair hook_event \
-                hook_dispatch_pair_precise hook_event_precise; do
-      val="$(echo "$out" | awk -v m="mode=$mode " '$0 ~ m { for (i=1;i<=NF;i++) if ($i ~ /^ns_per_op=/) { sub("ns_per_op=","",$i); print $i } }')"
-      if [ -z "$val" ]; then
-        fail "spoff: missing $mode row in micro_spanprof output"
-      elif ! awk -v b="$base" -v p="$val" 'BEGIN { exit !(p <= b * 1.5) }'; then
-        fail "spoff: $mode loop ${val}ns vs baseline ${base}ns (>1.5x)"
+    local clean=1
+    for pattern in "${HOOK_SYMBOLS[@]}"; do
+      if nm "$dir/$o" | grep -q "$pattern"; then
+        fail "hooksoff: $o still references hook symbols ($pattern):"
+        nm "$dir/$o" | grep "$pattern" | head -5
+        clean=0
       fi
     done
-  fi
+    [ "$clean" -eq 1 ] && echo "clean: $o"
+  done
 
-  # (c) The OFF build still passes the observability tests (the
-  # closed-form and endpoint-content cases skip; surfaces still answer).
-  note "spoff: ctest -L obs (OFF build)"
-  if ! (cd "$dir" && ctest -L obs --output-on-failure -j 2); then
-    fail "spoff ctest -L obs"
+  note "hooksoff: every hook-pricing row at or under its bound"
+  local entry cmd base_row bound hooks rows base row val
+  for entry in "${HOOK_PRICING[@]}"; do
+    IFS='|' read -r cmd base_row bound hooks <<<"$entry"
+    # shellcheck disable=SC2086  # cmd is "<binary> [args]" by design
+    rows="$(bench_rows "$dir/bench/"$cmd)"
+    base="$(awk -v r="$base_row" '$1 == r { print $2; exit }' <<<"$rows")"
+    if [ -z "$base" ]; then
+      fail "hooksoff: $cmd printed no $base_row row"
+      continue
+    fi
+    for row in $hooks; do
+      val="$(awk -v r="$row" '$1 == r { print $2; exit }' <<<"$rows")"
+      if [ -z "$val" ]; then
+        fail "hooksoff: $cmd printed no $row row"
+      elif awk -v b="$base" -v p="$val" -v k="$bound" \
+             'BEGIN { exit !(p <= b * k) }'; then
+        echo "ok: $cmd $row=${val}ns <= ${bound}x $base_row=${base}ns"
+      else
+        fail "hooksoff: $cmd $row=${val}ns > ${bound}x $base_row=${base}ns"
+      fi
+    done
+  done
+
+  # The classes stay compiled in the OFF build; their tests pass with the
+  # hook-dependent cases skipping.
+  note "hooksoff: ctest -L 'inject|obs' (OFF build)"
+  if ! (cd "$dir" && ctest -L 'inject|obs' --output-on-failure -j 2); then
+    fail "hooksoff ctest -L 'inject|obs'"
   fi
 }
 
 case "$PHASE" in
   tsan) run_sanitizer_phase tsan thread ;;
   asan) run_sanitizer_phase asan address ;;
-  offcheck) run_offcheck_phase ;;
   attribution) run_attribution_phase ;;
-  reqoff) run_reqoff_phase ;;
-  wdoff) run_wdoff_phase ;;
-  profoff) run_profoff_phase ;;
-  tsoff) run_tsoff_phase ;;
-  spoff) run_spoff_phase ;;
+  hooksoff) run_hooksoff_phase ;;
   all)
     run_sanitizer_phase tsan thread
     run_sanitizer_phase asan address
-    run_offcheck_phase
     run_attribution_phase
-    run_reqoff_phase
-    run_wdoff_phase
-    run_profoff_phase
-    run_tsoff_phase
-    run_spoff_phase
+    run_hooksoff_phase
     ;;
   *)
-    echo "usage: scripts/soak.sh [tsan|asan|offcheck|attribution|reqoff|wdoff|profoff|tsoff|spoff|all] [duration-s] [seed]" >&2
+    echo "usage: scripts/soak.sh [tsan|asan|attribution|hooksoff|all] [duration-s] [seed]" >&2
     exit 2
     ;;
 esac

@@ -141,7 +141,7 @@ void ICilkMcServer::connection_routine(int fd) {
             // (obs/spanprof.hpp). Empty (just the flag) when the profiler
             // is compiled out or no request completed yet.
             out += std::string("STAT icilk_sp_compiled_in ") +
-                   (obs::spanprof_compiled_in() ? '1' : '0') + "\r\n";
+                   (obs::hooks_compiled_in() ? '1' : '0') + "\r\n";
             out += obs::parallelism_stats_text(rt_->metrics(), "icilk_",
                                                "\r\n");
           } else if (req.keys.size() > 1 && req.keys[1] == "timeseries") {
@@ -153,7 +153,7 @@ void ICilkMcServer::connection_routine(int fd) {
               out += ts->stats_text("icilk_", "\r\n");
             } else {
               out += std::string("STAT icilk_ts_compiled_in ") +
-                     (obs::timeseries_compiled_in() ? '1' : '0') + "\r\n";
+                     (obs::hooks_compiled_in() ? '1' : '0') + "\r\n";
               out += "STAT icilk_ts_running 0\r\n";
             }
           } else if (req.keys.size() > 1 && req.keys[1] == "health") {
@@ -402,7 +402,7 @@ std::string ICilkMcServer::health_stats_text() const {
   } else {
     out += "STAT icilk_wd_running 0\r\n";
     out += std::string("STAT icilk_wd_compiled_in ") +
-           (obs::watchdog_compiled_in() ? "1" : "0") + "\r\n";
+           (obs::hooks_compiled_in() ? "1" : "0") + "\r\n";
   }
   // Profiler state: rate, window count, and — the reason this line
   // exists — the dropped-sample counter, so ring overflow under overload

@@ -2,7 +2,6 @@
 
 #include <sched.h>
 
-#include <cstdlib>
 #include <limits>
 #include <thread>
 
@@ -37,10 +36,7 @@ void MultiQueuePolicy::attach(Runtime& rt, PolicyHostBase& host) {
   // Same preop fast-gate discipline as Prompt: the inlined gate snapshots
   // the bitfield, which here mirrors the entry counters — valid only at
   // check_period 1 (see prompt_policy.cpp for the full rationale).
-  if (opts_.check_period == 1 &&
-      ::getenv("ICILK_NO_PREOP_GATE") == nullptr) {
-    host.arm_preop_gate(&bits_);
-  }
+  if (opts_.check_period == 1) host.arm_preop_gate(&bits_);
   if (opts_.idle_spin_rounds < 0) {
     const unsigned cores = std::thread::hardware_concurrency();
     const int threads = rt.config().num_workers + rt.config().num_io_threads;

@@ -2,7 +2,6 @@
 
 #include <sched.h>
 
-#include <cstdlib>
 #include <thread>
 
 #include "concurrent/spinlock.hpp"
@@ -30,13 +29,7 @@ void PromptPolicy::attach(Runtime& rt, PolicyHostBase& host) {
   // exactly "snapshot has nothing above my level -> return". Subsampled
   // configurations need the virtual path's TLS counter; period 0 skips
   // checks entirely and the virtual early-return is already trivial.
-  // ICILK_NO_PREOP_GATE=1 keeps every check on the virtual path — the
-  // A/B lever bench/micro_sched_hotpath uses for the DESIGN.md cost
-  // model; not meant for production.
-  if (opts_.check_period == 1 &&
-      ::getenv("ICILK_NO_PREOP_GATE") == nullptr) {
-    host.arm_preop_gate(&bits_);
-  }
+  if (opts_.check_period == 1) host.arm_preop_gate(&bits_);
   // Resolve the auto idle-spin default (Options::idle_spin_rounds == -1)
   // now that the runtime's thread count is known. Pre-sleep spinning only
   // pays when the thread that will publish work runs in parallel with the

@@ -33,7 +33,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
       sched_(std::move(sched)),
       stacks_(cfg.stack_size) {
   assert(cfg_.num_workers >= 1);
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_HOOKS_ENABLED
   // Calibrate the TSC->ns factor BEFORE any worker arms a strand clock:
   // the lazy first calibration sleeps ~20ms, which must never be charged
   // to a strand.
@@ -46,7 +46,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     workers_[i]->trace =
         &trace_.acquire_ring("worker" + std::to_string(i));
   }
-#if ICILK_PROFILE_ENABLED
+#if ICILK_HOOKS_ENABLED
   {
     // Must exist before the first worker thread runs: worker_main
     // registers with the profiler in its prologue. Cold until a window
@@ -63,7 +63,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     threads_.emplace_back([this, i] { worker_main(*workers_[i]); });
   }
   sched_->start();
-#if ICILK_TIMESERIES_ENABLED
+#if ICILK_HOOKS_ENABLED
   if (cfg_.timeseries_enabled) {
     // Before the watchdog, so trip bundles can embed the epoch ring.
     obs::TimeSeries::Config tc;
@@ -75,8 +75,6 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     timeseries_ = std::make_unique<obs::TimeSeries>(tc);
     timeseries_->start();
   }
-#endif
-#if ICILK_WATCHDOG_ENABLED
   if (cfg_.watchdog_enabled) {
     obs::Watchdog::Config wc;
     wc.period_ms = cfg_.watchdog_period_ms;
@@ -85,9 +83,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     wc.handle_sigusr2 = cfg_.watchdog_sigusr2;
     wc.metrics = &metrics_;
     wc.trace = &trace_;
-#if ICILK_TIMESERIES_ENABLED
     wc.timeseries = timeseries_.get();
-#endif
     wc.sample_fn = [this](obs::WdSample& s) { wd_fill_sample(s); };
     wc.inject_seed_fn = []() -> std::uint64_t {
       inject::Engine* e = inject::Engine::active();
@@ -109,12 +105,10 @@ void Runtime::shutdown() {
   if (!shutdown_.compare_exchange_strong(expected, true)) {
     // Already shut down; just make sure threads are joined.
   }
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_HOOKS_ENABLED
   // Stop the sampler FIRST: its sample_fn walks workers_ and the
   // scheduler, so it must quiesce before either starts tearing down.
   if (watchdog_) watchdog_->stop();
-#endif
-#if ICILK_TIMESERIES_ENABLED
   // Same ordering rule: the ticker's sample_fn is wd_fill_sample too.
   if (timeseries_) timeseries_->stop();
 #endif
@@ -124,7 +118,7 @@ void Runtime::shutdown() {
   }
 }
 
-#if ICILK_WATCHDOG_ENABLED || ICILK_TIMESERIES_ENABLED
+#if ICILK_HOOKS_ENABLED
 void Runtime::wd_fill_sample(obs::WdSample& s) const {
   s.num_levels = cfg_.num_levels < obs::WdSample::kMaxLevels
                      ? cfg_.num_levels
@@ -152,7 +146,7 @@ void Runtime::wd_fill_sample(obs::WdSample& s) const {
   s.io_armed = metrics_.io_gauge(obs::IoGauge::kArmedOps);
   s.timers_pending = metrics_.io_gauge(obs::IoGauge::kTimersPending);
 }
-#endif  // ICILK_WATCHDOG_ENABLED || ICILK_TIMESERIES_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Worker loop
@@ -290,10 +284,10 @@ void Runtime::finish_task(TaskFiber* tf) {
   w->stats.tasks_run++;
   // Close the final strand now: the totals feed the future handoff and the
   // parent-frame merge below, both of which must precede our join
-  // decrement / completion. (Folds to nothing when ICILK_SPANPROF=OFF.)
+  // decrement / completion. (Folds to nothing when ICILK_HOOKS=OFF.)
   obs::sp_strand_now();
 
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_HOOKS_ENABLED
   if (tf->st.req != nullptr) {
     if (tf->st.req_owner) {
       // Safety net: the root task ended without req_end (early return or
@@ -304,7 +298,6 @@ void Runtime::finish_task(TaskFiber* tf) {
                          static_cast<std::uint32_t>(rc->id));
       metrics_.record_request(*rc, total);
       obs::ts_note_request(timeseries(), tf->st.priority, total);
-#if ICILK_SPANPROF_ENABLED
       if (const obs::SpanAcc& sp = tf->st.sp;
           sp.depth > sp.req_depth0) {
         metrics_.record_parallelism(tf->st.priority, rc->id,
@@ -312,7 +305,6 @@ void Runtime::finish_task(TaskFiber* tf) {
                                     sp.depth - sp.req_depth0,
                                     sp.bdepth - sp.req_bdepth0);
       }
-#endif
       obs::ReqContext::destroy(rc);
     }
     tf->st.req = nullptr;
@@ -326,7 +318,7 @@ void Runtime::finish_task(TaskFiber* tf) {
   assert(tf->st.frame.parked.load(std::memory_order_relaxed) == nullptr);
 
   if (tf->st.future) {
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_HOOKS_ENABLED
     // Routine->getter span handoff: stored before complete(), whose
     // release on ready_ publishes it to every getter.
     tf->st.future->sp_store_routine(tf->st.sp.work, tf->st.sp.depth,
@@ -362,9 +354,7 @@ void Runtime::finish_task(TaskFiber* tf) {
     if (old == (Frame::kChildUnit | Frame::kParkedBit)) {
       Deque* parked = pf->parked.exchange(nullptr, std::memory_order_seq_cst);
       assert(parked != nullptr && "parked bit set but no deque published");
-      auto d = Ref<Deque>::adopt(parked);
-      d->make_resumable();
-      dispatch_woken(*w, std::move(d));
+      wake(Ref<Deque>::adopt(parked), w);
     }
   }
 
@@ -375,37 +365,44 @@ void Runtime::finish_task(TaskFiber* tf) {
   // not reached
 }
 
-void Runtime::dispatch_woken(Worker& w, Ref<Deque> d) {
+void Runtime::wake(Ref<Deque> d, Worker* w) {
+  // Suspended -> Resumable. Only the waker leaves Suspended (thieves may
+  // steal from a Suspended deque but never mug it), so make_resumable's
+  // assert is the one this function owns.
+  d->make_resumable();
+  // A Suspended deque with entries stays in its pool, so from here on a
+  // thief holding that pool reference may mug it. The crosspoint widens
+  // the window; nothing below may assume the deque is still Resumable.
+  inject::maybe_pause(inject::probe(inject::Point::kWake));
   // Provably-good-steal style: if the woken deque is at our level and we
   // have nothing queued, mug it ourselves instead of going through the
   // pool — our active deque is exhausted anyway.
-  if (!w.next.valid() && d->priority() == w.level) {
+  if (w != nullptr && !w->next.valid() && d->priority() == w->level) {
     Continuation c;
-    if (d->try_mug(c)) {
-      const Priority p = d->priority();
-      const std::uint64_t since = d->take_resumable_stamp();
-      if (since != 0) {
-        const std::uint64_t now = now_ns();
-        const std::uint64_t delay = now > since ? now - since : 0;
-        metrics_.record_aging(p, delay);
-        // The measured resumable->running delay IS this resume's scheduler
-        // burden: charge it to the resumed fiber's burdened span and feed
-        // the global estimator.
-        sp_charge_resume(c, delay);
-      }
-      metrics_.count(obs::EventKind::kResume, p);
-      ICILK_TRACE_RECORD(w.trace, obs::EventKind::kResume, p, 0);
-      if (w.active) retire_active(w);
-      w.active = std::move(d);
-      w.next = std::move(c);
-      return;
+    // A lost mug means a thief took the deque over and runs it: it is
+    // Active and no longer ours to publish.
+    if (!d->try_mug(c)) return;
+    const Priority p = d->priority();
+    const std::uint64_t since = d->take_resumable_stamp();
+    if (since != 0) {
+      const std::uint64_t now = now_ns();
+      const std::uint64_t delay = now > since ? now - since : 0;
+      metrics_.record_aging(p, delay);
+      // The measured resumable->running delay IS this resume's scheduler
+      // burden: charge it to the resumed fiber's burdened span and feed
+      // the global estimator.
+      sp_charge_resume(c, delay);
     }
+    metrics_.count(obs::EventKind::kResume, p);
+    ICILK_TRACE_RECORD(w->trace, obs::EventKind::kResume, p, 0);
+    if (w->active) retire_active(*w);
+    w->active = std::move(d);
+    w->next = std::move(c);
+    return;
   }
-  resumable(std::move(d));
-}
-
-void Runtime::resumable(Ref<Deque> d) {
-  assert(d && d->state() == Deque::State::Resumable);
+  // Publication tolerates a deque a thief mugged in the window: the
+  // policies' in_queue_ flag keeps it in a pool at most once, and a thief
+  // that pops an Active deque only steals from it or drops it.
   sched_->on_resumable(std::move(d));
 }
 
@@ -551,8 +548,7 @@ void Runtime::toss_task(Priority p, Closure body, Ref<FutureStateBase> fut,
   c.req = req;
   c.sp_depth = sp_depth;
   c.sp_bdepth = sp_bdepth;
-  auto d = Deque::new_resumable(std::move(c), census_slot(p));
-  resumable(std::move(d));
+  sched_->on_resumable(Deque::new_resumable(std::move(c), census_slot(p)));
 }
 
 // Slow path of sync_impl (inline fast path in runtime.hpp): outstanding
@@ -596,9 +592,7 @@ void Runtime::sync_slow() {
     if ((old >> 1) == 0) {
       Deque* back = fr2.parked.exchange(nullptr, std::memory_order_seq_cst);
       assert(back != nullptr && "self-wake raced an impossible child");
-      auto rd = Ref<Deque>::adopt(back);
-      rd->make_resumable();
-      dispatch_woken(w2, std::move(rd));
+      wake(Ref<Deque>::adopt(back), &w2);
     }
   });
 
@@ -624,7 +618,7 @@ Priority Runtime::current_priority() const {
 // ---------------------------------------------------------------------------
 
 std::uint64_t Runtime::req_begin(std::uint64_t arrival_ns) {
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_HOOKS_ENABLED
   Worker* w = this_worker();
   assert(w != nullptr && w->current != nullptr &&
          "req_begin must be called from task code");
@@ -661,7 +655,7 @@ void Runtime::req_end() { req_finish(true); }
 void Runtime::req_abort() { req_finish(false); }
 
 void Runtime::req_finish(bool record) {
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_HOOKS_ENABLED
   Worker* w = this_worker();
   assert(w != nullptr && w->current != nullptr);
   TaskFiber* self = w->current;
@@ -677,7 +671,6 @@ void Runtime::req_finish(bool record) {
   if (record) {
     metrics_.record_request(*rc, total);
     obs::ts_note_request(timeseries(), self->st.priority, total);
-#if ICILK_SPANPROF_ENABLED
     // The sync above joined every child, so the fiber's accumulators hold
     // the whole request DAG; deltas against the req_begin baselines are
     // this request's work and span.
@@ -689,7 +682,6 @@ void Runtime::req_finish(bool record) {
                                   sp.depth - sp.req_depth0,
                                   sp.bdepth - sp.req_bdepth0);
     }
-#endif
   }
   self->st.req = nullptr;
   self->st.req_owner = false;
@@ -741,7 +733,7 @@ void future_wait_slow(FutureStateBase& st) {
   // timer — no routine ran) the measured wait is the serial floor of the
   // request and joins the span directly in sp_join_future.
   const std::uint64_t sp_wall0 =
-      obs::spanprof_compiled_in() ? now_ns() : 0;
+      obs::hooks_compiled_in() ? now_ns() : 0;
   rt.park_current([&rt, &st, self = w->current] {
     Worker& w2 = *this_worker();
     Ref<Deque> d = w2.active;
@@ -750,13 +742,12 @@ void future_wait_slow(FutureStateBase& st) {
     w2.active.reset();
     if (!st.add_waiter(d)) {
       // Completed in the meantime; resume the deque ourselves.
-      d->make_resumable();
-      rt.dispatch_woken(w2, std::move(d));
+      rt.wake(std::move(d), &w2);
     }
   });
   assert(st.ready());
   sp_join_future(st,
-                 obs::spanprof_compiled_in() ? now_ns() - sp_wall0 : 0);
+                 obs::hooks_compiled_in() ? now_ns() - sp_wall0 : 0);
 }
 
 FutureStateBase::~FutureStateBase() {
@@ -793,13 +784,8 @@ void FutureStateBase::complete() {
     first = std::exchange(first_waiter_, nullptr);
     extra.swap(extra_waiters_);
   }
-  const auto wake = [this](Deque* raw) {
-    auto d = Ref<Deque>::adopt(raw);
-    d->make_resumable();
-    rt_->resumable(std::move(d));
-  };
-  if (first != nullptr) wake(first);
-  for (Deque* raw : extra) wake(raw);
+  if (first != nullptr) rt_->wake(Ref<Deque>::adopt(first));
+  for (Deque* raw : extra) rt_->wake(Ref<Deque>::adopt(raw));
   if (has_external_waiter_.load(std::memory_order_acquire)) {
     if (rt_ != nullptr) {
       rt_->notify_external();

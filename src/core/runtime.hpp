@@ -113,7 +113,7 @@ class Runtime {
   /// binds it to the fiber chain: it follows the root through parks,
   /// steals, mugs, abandonment, and I/O suspensions, and is inherited by
   /// spawned children (for I/O-op tagging only). Returns the request id
-  /// (0 when ICILK_REQTRACE=OFF). Task code only; nested calls on a task
+  /// (0 when ICILK_HOOKS=OFF). Task code only; nested calls on a task
   /// already owning a request return its existing id.
   std::uint64_t req_begin(std::uint64_t arrival_ns = 0);
 
@@ -137,8 +137,12 @@ class Runtime {
   /// its captures inline, so parking never allocates.
   void park_current(PostSwitchFn publish);
 
-  /// Routes a freshly-Resumable deque to the scheduler (any thread).
-  void resumable(Ref<Deque> d);
+  /// Wakes a Suspended deque (any thread): the single owner of the
+  /// Suspended -> Resumable transition. When `w` is the calling worker and
+  /// the deque is at its level with nothing queued, `w` mugs it and runs
+  /// it next; otherwise the deque goes to the scheduler. A mug lost to a
+  /// thief returns without publishing the deque.
+  void wake(Ref<Deque> d, Worker* w = nullptr);
 
   /// Per-level gauge of non-empty deques (Figure 2 census).
   std::int64_t census(Priority p) const {
@@ -157,45 +161,31 @@ class Runtime {
 
   /// Event trace rings (one per worker, plus reactor threads). Recording
   /// is gated by the sink's enable flag (cfg.trace_events, or toggled
-  /// live) and compiled out entirely under ICILK_TRACE=OFF.
+  /// live) and compiled out entirely under ICILK_HOOKS=OFF.
   obs::TraceSink& trace_sink() noexcept { return trace_; }
 
-  /// The flight-recorder watchdog (continuous invariant sampling +
-  /// post-mortem bundles; src/obs/watchdog.hpp). Non-null only when
-  /// cfg.watchdog_enabled and built ICILK_WATCHDOG=ON, so callers must
-  /// null-check. Defined in both build modes so app/server code that
-  /// surfaces watchdog state compiles unconditionally.
-#if ICILK_WATCHDOG_ENABLED
+  /// The background observability subsystems, each null-checked by its
+  /// callers: the flight-recorder watchdog (src/obs/watchdog.hpp; non-null
+  /// when cfg.watchdog_enabled), the windowed time-series ring
+  /// (src/obs/timeseries.hpp; non-null when cfg.timeseries_enabled) and the
+  /// sampling profiler (src/obs/profiler.hpp; always constructed, cold until
+  /// a window opens). All three are nullptr when built ICILK_HOOKS=OFF; the
+  /// accessors exist in both build modes so server code that surfaces them
+  /// compiles unconditionally.
+#if ICILK_HOOKS_ENABLED
   obs::Watchdog* watchdog() noexcept { return watchdog_.get(); }
   const obs::Watchdog* watchdog() const noexcept { return watchdog_.get(); }
-#else
-  obs::Watchdog* watchdog() noexcept { return nullptr; }
-  const obs::Watchdog* watchdog() const noexcept { return nullptr; }
-#endif
-
-  /// The windowed time-series telemetry ring (epoch-sliced latency
-  /// digests + counter deltas; src/obs/timeseries.hpp). Non-null only
-  /// when cfg.timeseries_enabled and built ICILK_TIMESERIES=ON, so
-  /// callers must null-check. Defined in both build modes so app/server
-  /// code that surfaces the ring compiles unconditionally.
-#if ICILK_TIMESERIES_ENABLED
   obs::TimeSeries* timeseries() noexcept { return timeseries_.get(); }
   const obs::TimeSeries* timeseries() const noexcept {
     return timeseries_.get();
   }
-#else
-  obs::TimeSeries* timeseries() noexcept { return nullptr; }
-  const obs::TimeSeries* timeseries() const noexcept { return nullptr; }
-#endif
-
-  /// The sampling profiler (src/obs/profiler.hpp). Always constructed
-  /// when built ICILK_PROFILE=ON (it is cold until a window opens);
-  /// nullptr when compiled out, so callers must null-check. Defined in
-  /// both build modes so endpoint/server code compiles unconditionally.
-#if ICILK_PROFILE_ENABLED
   obs::Profiler* profiler() noexcept { return profiler_.get(); }
   const obs::Profiler* profiler() const noexcept { return profiler_.get(); }
 #else
+  obs::Watchdog* watchdog() noexcept { return nullptr; }
+  const obs::Watchdog* watchdog() const noexcept { return nullptr; }
+  obs::TimeSeries* timeseries() noexcept { return nullptr; }
+  const obs::TimeSeries* timeseries() const noexcept { return nullptr; }
   obs::Profiler* profiler() noexcept { return nullptr; }
   const obs::Profiler* profiler() const noexcept { return nullptr; }
 #endif
@@ -287,7 +277,6 @@ class Runtime {
   void sync_slow();
   void finish_task(TaskFiber* tf);
   void retire_active(Worker& w);
-  void dispatch_woken(Worker& w, Ref<Deque> d);
 
   /// Starts `body` as a tossed resumable deque at level p. `req` (if any)
   /// is the request the tossed child serves (inherited, never owned);
@@ -304,7 +293,7 @@ class Runtime {
   TaskFiber* alloc_task_fiber();
   void recycle(TaskFiber* tf);
 
-#if ICILK_WATCHDOG_ENABLED || ICILK_TIMESERIES_ENABLED
+#if ICILK_HOOKS_ENABLED
   /// The watchdog's (and epoch ticker's) sample_fn: scheduler wd_fill +
   /// worker state words + census gauges + cumulative task count +
   /// deque-census registry + io gauges. Runs on the sampler/ticker
@@ -328,13 +317,9 @@ class Runtime {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_HOOKS_ENABLED
   std::unique_ptr<obs::Watchdog> watchdog_;
-#endif
-#if ICILK_TIMESERIES_ENABLED
   std::unique_ptr<obs::TimeSeries> timeseries_;
-#endif
-#if ICILK_PROFILE_ENABLED
   std::unique_ptr<obs::Profiler> profiler_;
 #endif
 
@@ -380,10 +365,10 @@ inline bool preop_gate_pass(Scheduler& sched, const Worker& w) noexcept {
 /// Spanprof half of get(): joins the producing routine's span (and, once,
 /// its work) into the caller, or — for externally-completed futures
 /// (reactor I/O, timers) — adds the measured wall wait as serial floor.
-/// Folds to nothing when ICILK_SPANPROF=OFF. `wait_wall_ns` is nonzero
+/// Folds to nothing when ICILK_HOOKS=OFF. `wait_wall_ns` is nonzero
 /// only on the suspension path (future_wait_slow).
 inline void sp_join_future(FutureStateBase& fu, std::uint64_t wait_wall_ns) {
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_HOOKS_ENABLED
   if (fu.sp_routine_ran()) {
     obs::SpanAcc* acc = obs::sp_strand_now();
     if (acc == nullptr) return;

@@ -162,7 +162,6 @@ int EventBase::run_timers() {
 void EventBase::dispatch() {
   constexpr int kMaxEvents = 256;
   epoll_event events[kMaxEvents];
-  stop_.store(false, std::memory_order_release);
   while (!stop_.load(std::memory_order_acquire)) {
     const int timeout = run_timers();
     if (stop_.load(std::memory_order_acquire)) break;
@@ -195,6 +194,9 @@ void EventBase::dispatch() {
       run_callback(ev, fd, what);
     }
   }
+  // Consume the break on the way out, never on the way in: a loopbreak()
+  // that lands before this thread reaches dispatch() must still stop it.
+  stop_.store(false, std::memory_order_release);
 }
 
 void EventBase::loopbreak() {

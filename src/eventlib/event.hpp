@@ -90,7 +90,9 @@ class EventBase {
   /// readiness order (the implicit aging property).
   void dispatch();
 
-  /// Stops the loop; safe from any thread.
+  /// Stops the loop; safe from any thread. A break issued before the loop
+  /// starts makes the next dispatch() return at once; dispatch() consumes
+  /// the break when it returns.
   void loopbreak();
 
   std::uint64_t dispatched_for_test() const noexcept { return dispatched_; }

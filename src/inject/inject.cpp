@@ -47,9 +47,10 @@ constexpr Menu kMenus[kPointCount] = {
     /*kSuspend*/ {{Action::kYield, Action::kDelay}, 2},
     /*kResumePublish*/ {{Action::kDelay, Action::kYield}, 2},
     /*kPromptMask*/ {{Action::kForce}, 1},
+    /*kWake*/ {{Action::kYield, Action::kDelay}, 2},
 };
 
-#if ICILK_INJECT_ENABLED
+#if ICILK_HOOKS_ENABLED
 thread_local obs::TraceRing* tls_ring = nullptr;
 #endif
 
@@ -99,6 +100,8 @@ const char* point_name(Point p) noexcept {
       return "resume_publish";
     case Point::kPromptMask:
       return "prompt_mask";
+    case Point::kWake:
+      return "wake";
     case Point::kCount:
       break;
   }
@@ -245,7 +248,7 @@ Outcome Engine::decide(Point p) noexcept {
     if (cfg_.record_decisions && s.log.size() < cfg_.max_log_entries) {
       s.log.push_back({n, p, out.action, out.arg});
     }
-#if ICILK_INJECT_ENABLED
+#if ICILK_HOOKS_ENABLED
     if (tls_ring != nullptr) {
       tls_ring->record(
           obs::EventKind::kInject, static_cast<std::uint16_t>(p),
@@ -301,7 +304,7 @@ void spin_delay(std::uint32_t iters) noexcept {
   }
 }
 
-#if ICILK_INJECT_ENABLED
+#if ICILK_HOOKS_ENABLED
 
 Outcome probe_active(Point p) noexcept { return Engine::probe_slow(p); }
 
@@ -309,6 +312,6 @@ void set_thread_trace_ring(obs::TraceRing* ring) noexcept {
   tls_ring = ring;
 }
 
-#endif  // ICILK_INJECT_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 }  // namespace icilk::inject

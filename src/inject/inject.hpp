@@ -20,10 +20,10 @@
 //     trace rings (EventKind::kInject).
 //
 // Cost model (mirrors obs/trace.hpp):
-//   * ICILK_INJECT=OFF (-DICILK_INJECT_ENABLED=0): probe() is a constexpr
+//   * ICILK_HOOKS=OFF (-DICILK_HOOKS_ENABLED=0): probe() is a constexpr
 //     no-op, so every hook site compiles to NOTHING — do_syscall and the
 //     scheduler hot paths are bit-identical to a build without the
-//     subsystem (scripts/soak.sh checks this).
+//     subsystem (scripts/soak.sh hooksoff checks this).
 //   * Compiled in, no engine installed: one relaxed load + predictable
 //     branch per hook.
 //   * Engine installed: one splitmix-style hash per decision; action
@@ -43,9 +43,7 @@
 
 #include "obs/trace.hpp"
 
-#if !defined(ICILK_INJECT_ENABLED)
-#define ICILK_INJECT_ENABLED 1
-#endif
+#include "obs/hooks.hpp"
 
 namespace icilk::inject {
 
@@ -63,6 +61,7 @@ enum class Point : std::uint8_t {
   kSuspend,          ///< before a blocked get/sync parks its deque
   kResumePublish,    ///< before a resumable deque is published to the pool
   kPromptMask,       ///< can FORCE pre_op_check to skip the bitfield check
+  kWake,             ///< after a waker makes a suspended deque resumable
   kCount             ///< sentinel; not a real point
 };
 inline constexpr int kPointCount = static_cast<int>(Point::kCount);
@@ -225,9 +224,7 @@ inline void maybe_pause(const Outcome& o) noexcept {
   }
 }
 
-#if ICILK_INJECT_ENABLED
-
-constexpr bool compiled_in() noexcept { return true; }
+#if ICILK_HOOKS_ENABLED
 
 /// True when an engine is installed — the "any crosspoint may fire"
 /// predicate. Callers that INLINE a hook's common case (rather than
@@ -251,13 +248,12 @@ inline Outcome probe(Point p) noexcept {
 /// thread exit. Workers and reactor I/O threads call this on startup.
 void set_thread_trace_ring(obs::TraceRing* ring) noexcept;
 
-#else  // ICILK_INJECT_ENABLED
+#else  // !ICILK_HOOKS_ENABLED
 
-constexpr bool compiled_in() noexcept { return false; }
 constexpr bool armed() noexcept { return false; }
 constexpr Outcome probe(Point) noexcept { return {}; }
 inline void set_thread_trace_ring(obs::TraceRing*) noexcept {}
 
-#endif  // ICILK_INJECT_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 }  // namespace icilk::inject

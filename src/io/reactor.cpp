@@ -144,7 +144,7 @@ void IoReactor::wake() {
 ssize_t IoReactor::do_syscall(OpKind kind, int fd, void* buf,
                               const void* cbuf, std::size_t len) {
   for (;;) {
-    // Fault-injection shim (compiles to nothing under ICILK_INJECT=OFF):
+    // Fault-injection shim (compiles to nothing under ICILK_HOOKS=OFF):
     // a hostile kernel can return EAGAIN/EINTR/ECONNRESET, deliver fewer
     // bytes than asked, or stall — all of which the layers above must
     // survive. Injected EINTR takes the same retry edge the real one does.

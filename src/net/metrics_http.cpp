@@ -154,7 +154,7 @@ std::string MetricsHttpServer::profile_body(std::string_view query, bool& ok,
   ok = false;
   obs::Profiler* prof = rt_.profiler();
   if (prof == nullptr) {
-    return "profiler not compiled in (-DICILK_PROFILE=OFF)\n";
+    return "profiler not compiled in (-DICILK_HOOKS=OFF)\n";
   }
   long seconds = query_param(query, "seconds", 2);
   if (seconds < 1) seconds = 1;
@@ -223,9 +223,9 @@ std::string MetricsHttpServer::respond(const char* req, std::size_t len) {
         body = ts->json(static_cast<std::size_t>(n));
       } else {
         // No ticker running (cfg.timeseries_enabled off, or built
-        // ICILK_TIMESERIES=OFF): still answer, so scrapers don't 404.
+        // ICILK_HOOKS=OFF): still answer, so scrapers don't 404.
         body = std::string("{\"timeseries\":1,\"compiled_in\":") +
-               (obs::timeseries_compiled_in() ? "true" : "false") +
+               (obs::hooks_compiled_in() ? "true" : "false") +
                ",\"scheduler\":\"" +
                obs::json_escape(rt_.scheduler().name()) +
                "\",\"epoch_ms\":0,\"capacity\":0,\"epochs_closed\":0," +
@@ -238,9 +238,9 @@ std::string MetricsHttpServer::respond(const char* req, std::size_t len) {
         wd_body = wd->health_json();
       } else {
         // No sampler running (cfg.watchdog_enabled off, or built
-        // ICILK_WATCHDOG=OFF): still answer, so probes don't 404.
+        // ICILK_HOOKS=OFF): still answer, so probes don't 404.
         wd_body = std::string("{\"watchdog\":{\"compiled_in\":") +
-                  (obs::watchdog_compiled_in() ? "true" : "false") +
+                  (obs::hooks_compiled_in() ? "true" : "false") +
                   ",\"running\":false,\"scheduler\":\"" +
                   obs::json_escape(rt_.scheduler().name()) + "\"}}";
       }

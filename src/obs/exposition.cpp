@@ -376,7 +376,7 @@ std::string parallelism_json(const MetricsRegistry& m) {
   appendf(out,
           "{\"compiled_in\":%s,\"requests\":%" PRIu64
           ",\"work_ms\":%.3f,\"span_ms\":%.3f,\"levels\":[",
-          spanprof_compiled_in() ? "true" : "false", m.sp_total_requests(),
+          hooks_compiled_in() ? "true" : "false", m.sp_total_requests(),
           static_cast<double>(m.sp_total_work_ns()) / 1e6,
           static_cast<double>(m.sp_total_span_ns()) / 1e6);
   bool first_level = true;

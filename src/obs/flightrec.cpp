@@ -19,30 +19,14 @@ namespace icilk::obs {
 
 std::string build_flags_string() {
   std::string out;
-  auto flag = [&](const char* name, bool on) {
+  // One switch compiles every hook in or out; the string still names each
+  // subsystem so bundles from either build parse the same way.
+  for (const char* name : {"trace", "inject", "reqtrace", "watchdog",
+                           "profile", "timeseries", "spanprof"}) {
     if (!out.empty()) out += ' ';
     out += name;
-    out += on ? "=ON" : "=OFF";
-  };
-#if defined(ICILK_TRACE_ENABLED) && ICILK_TRACE_ENABLED == 0
-  flag("trace", false);
-#else
-  flag("trace", true);
-#endif
-#if defined(ICILK_INJECT_ENABLED) && ICILK_INJECT_ENABLED == 0
-  flag("inject", false);
-#else
-  flag("inject", true);
-#endif
-#if defined(ICILK_REQTRACE_ENABLED) && ICILK_REQTRACE_ENABLED == 0
-  flag("reqtrace", false);
-#else
-  flag("reqtrace", true);
-#endif
-  flag("watchdog", ICILK_WATCHDOG_ENABLED != 0);
-  flag("profile", ICILK_PROFILE_ENABLED != 0);
-  flag("timeseries", ICILK_TIMESERIES_ENABLED != 0);
-  flag("spanprof", ICILK_SPANPROF_ENABLED != 0);
+    out += hooks_compiled_in() ? "=ON" : "=OFF";
+  }
 #if defined(__SANITIZE_THREAD__)
   out += " sanitize=thread";
 #elif defined(__SANITIZE_ADDRESS__)

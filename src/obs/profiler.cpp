@@ -573,7 +573,7 @@ bool Profiler::write_folded(const ProfileReport& r, const std::string& path) {
 
 std::string prof_health_json(const Profiler* p) {
   std::ostringstream os;
-  os << "{\"compiled_in\":" << (profile_compiled_in() ? "true" : "false");
+  os << "{\"compiled_in\":" << (hooks_compiled_in() ? "true" : "false");
   if (p == nullptr) {
     os << ",\"running\":false}";
     return os.str();
@@ -595,7 +595,7 @@ std::string prof_health_stats_text(const Profiler* p,
   auto add = [&](const char* name, long long v) {
     os << "STAT " << prefix << "prof_" << name << ' ' << v << eol;
   };
-  add("compiled_in", profile_compiled_in() ? 1 : 0);
+  add("compiled_in", hooks_compiled_in() ? 1 : 0);
   add("running", (p != nullptr && p->running()) ? 1 : 0);
   if (p != nullptr) {
     add("hz", p->running() ? p->hz() : p->config().default_hz);
@@ -611,7 +611,7 @@ std::string prof_health_stats_text(const Profiler* p,
 // Hot-path hook backing (compiled-in builds only)
 // ---------------------------------------------------------------------------
 
-#if ICILK_PROFILE_ENABLED
+#if ICILK_HOOKS_ENABLED
 
 std::uint32_t prof_context() noexcept {
   return t_prof_ctx.load(std::memory_order_relaxed);
@@ -630,6 +630,6 @@ void prof_unregister_thread(Profiler* p) noexcept {
   if (p != nullptr) p->unregister_current_thread();
 }
 
-#endif  // ICILK_PROFILE_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 }  // namespace icilk::obs

@@ -42,10 +42,10 @@
 //     profiling with injected faults layered on top.
 //
 // Cost model (mirrors trace/inject/reqtrace/watchdog):
-//   * ICILK_PROFILE=OFF (-DICILK_PROFILE_ENABLED=0): every hook below
+//   * ICILK_HOOKS=OFF (-DICILK_HOOKS_ENABLED=0): every hook below
 //     inlines to nothing; no hot-path object references a profiler symbol
-//     (scripts/soak.sh profoff proves it, plus probe==baseline in
-//     bench/micro_profiler). The Profiler class itself stays compiled
+//     (scripts/soak.sh hooksoff proves it, plus hook==baseline in
+//     bench/micro_obs_hooks). The Profiler class itself stays compiled
 //     (endpoints and tests reference it) but the runtime never
 //     instantiates one.
 //   * Compiled in but idle (no window open): hooks are one relaxed TLS
@@ -62,18 +62,11 @@
 #include <string>
 #include <vector>
 
-#if !defined(ICILK_PROFILE_ENABLED)
-#define ICILK_PROFILE_ENABLED 1
-#endif
+#include "obs/hooks.hpp"
 
 namespace icilk::obs {
 
 class MetricsRegistry;
-
-/// True when the profiler hooks were compiled in.
-constexpr bool profile_compiled_in() noexcept {
-  return ICILK_PROFILE_ENABLED != 0;
-}
 
 // ---------------------------------------------------------------------------
 // Attribution word
@@ -274,7 +267,7 @@ std::string prof_health_stats_text(const Profiler* p,
 // store each; nothing when compiled out.
 // ---------------------------------------------------------------------------
 
-#if ICILK_PROFILE_ENABLED
+#if ICILK_HOOKS_ENABLED
 
 /// The calling thread's attribution word (handler reads it; tests assert
 /// on it). Plain TLS atomic: single-thread writer, same-thread signal
@@ -315,7 +308,7 @@ class ProfScope {
   std::uint32_t saved_;
 };
 
-#else  // !ICILK_PROFILE_ENABLED
+#else  // !ICILK_HOOKS_ENABLED
 
 inline std::uint32_t prof_context() noexcept { return 0; }
 inline void prof_set_context(std::uint32_t) noexcept {}
@@ -332,6 +325,6 @@ class ProfScope {
   ProfScope& operator=(const ProfScope&) = delete;
 };
 
-#endif  // ICILK_PROFILE_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 }  // namespace icilk::obs

@@ -20,7 +20,7 @@ const char* req_phase_name(ReqPhase p) noexcept {
   return "?";
 }
 
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_HOOKS_ENABLED
 namespace {
 thread_local ReqContext* tls_req = nullptr;
 thread_local int tls_where = ReqHop::kNoWhere;
@@ -33,7 +33,7 @@ int req_thread_where() noexcept { return tls_where; }
 void req_set_thread_where(int where) noexcept { tls_where = where; }
 TraceRing* req_thread_ring() noexcept { return tls_ring; }
 void req_set_thread_ring(TraceRing* ring) noexcept { tls_ring = ring; }
-#endif  // ICILK_REQTRACE_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 void ReqContext::start(std::uint64_t rid, std::uint16_t prio,
                        std::uint64_t arrival_ns) noexcept {

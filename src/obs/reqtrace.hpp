@@ -30,10 +30,10 @@
 // run shows as suspended_sync — which is the correct answer to "why is
 // the root not finished yet".
 //
-// Compile-out: -DICILK_REQTRACE=OFF defines ICILK_REQTRACE_ENABLED=0 and
+// Compile-out: -DICILK_HOOKS=OFF defines ICILK_HOOKS_ENABLED=0 and
 // every req_hook_* below inlines to nothing; the ReqContext class itself
 // stays compiled (tests and the micro bench drive it directly), but no
-// hot-path object references it (scripts/soak.sh reqoff verifies).
+// hot-path object references it (scripts/soak.sh hooksoff verifies).
 #pragma once
 
 #include <cstddef>
@@ -43,9 +43,7 @@
 #include "concurrent/objpool.hpp"
 #include "obs/trace.hpp"
 
-#if !defined(ICILK_REQTRACE_ENABLED)
-#define ICILK_REQTRACE_ENABLED 1
-#endif
+#include "obs/hooks.hpp"
 
 namespace icilk::obs {
 
@@ -73,11 +71,6 @@ struct ReqHop {
 
   static constexpr std::int16_t kNoWhere = INT16_MIN;
 };
-
-/// True when the request-tracing hooks were compiled in.
-constexpr bool reqtrace_compiled_in() noexcept {
-  return ICILK_REQTRACE_ENABLED != 0;
-}
 
 /// The per-request context. Plain fields, no atomics: every transition is
 /// serialized by the deque lock or the continuation hand-off that moves
@@ -154,7 +147,7 @@ class ReqContext {
 // current request around every fiber switch (the "TLS save/restore").
 // ---------------------------------------------------------------------------
 
-#if ICILK_REQTRACE_ENABLED
+#if ICILK_HOOKS_ENABLED
 
 /// The request context bound to the fiber currently running on this
 /// thread, or nullptr (scheduler context, external threads).
@@ -203,7 +196,7 @@ inline std::uint64_t req_hook_io_arm() noexcept {
   return rc->id;
 }
 
-#else  // !ICILK_REQTRACE_ENABLED
+#else  // !ICILK_HOOKS_ENABLED
 
 inline ReqContext* req_current() noexcept { return nullptr; }
 inline void req_set_current(ReqContext*) noexcept {}
@@ -217,6 +210,6 @@ inline void req_hook_suspend(ReqContext*, bool) noexcept {}
 inline void req_hook_runnable(ReqContext*, bool) noexcept {}
 inline std::uint64_t req_hook_io_arm() noexcept { return 0; }
 
-#endif  // ICILK_REQTRACE_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 }  // namespace icilk::obs

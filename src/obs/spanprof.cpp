@@ -1,6 +1,6 @@
 #include "obs/spanprof.hpp"
 
-#if ICILK_SPANPROF_ENABLED
+#if ICILK_HOOKS_ENABLED
 
 #include <atomic>
 
@@ -79,4 +79,4 @@ std::uint64_t sp_overhead_est() noexcept {
 
 }  // namespace icilk::obs
 
-#endif  // ICILK_SPANPROF_ENABLED
+#endif  // ICILK_HOOKS_ENABLED

@@ -266,7 +266,7 @@ std::string TimeSeries::json(std::size_t max_epochs) const {
   }
   std::ostringstream os;
   os << "{\"timeseries\":1";
-  os << ",\"compiled_in\":" << (timeseries_compiled_in() ? "true" : "false");
+  os << ",\"compiled_in\":" << (hooks_compiled_in() ? "true" : "false");
   os << ",\"scheduler\":\"" << json_escape(cfg_.scheduler) << '"';
   os << ",\"epoch_ms\":" << cfg_.epoch_ms;
   os << ",\"capacity\":" << cfg_.epochs;
@@ -291,7 +291,7 @@ std::string TimeSeries::stats_text(const std::string& prefix,
     out += buf;
     out += eol;
   };
-  stat("compiled_in", timeseries_compiled_in() ? 1 : 0);
+  stat("compiled_in", hooks_compiled_in() ? 1 : 0);
   stat("epoch_ms", cfg_.epoch_ms);
   stat("epochs_closed", static_cast<long long>(epochs_closed()));
   stat("last_duration_us", static_cast<long long>(e.duration_ns / 1000));

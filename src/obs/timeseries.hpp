@@ -23,10 +23,10 @@
 // bundles so a trip carries the preceding seconds of windowed history.
 //
 // Hot-path cost model (mirrors watchdog / reqtrace):
-//   * ICILK_TIMESERIES=OFF (-DICILK_TIMESERIES_ENABLED=0): the
+//   * ICILK_HOOKS=OFF (-DICILK_HOOKS_ENABLED=0): the
 //     ts_note_request hook below inlines to nothing and the runtime never
 //     instantiates a TimeSeries; no hot-path object references a
-//     timeseries symbol (scripts/soak.sh tsoff proves it with nm, plus
+//     timeseries symbol (scripts/soak.sh hooksoff proves it with nm, plus
 //     probe==baseline in bench/micro_timeseries). The class itself stays
 //     compiled — tests and tools drive it with synthetic samples.
 //   * Compiled in + enabled: per COMPLETED request (never the spawn/steal
@@ -59,18 +59,11 @@
 #include "obs/trace.hpp"     // EventKind (which counters we delta)
 #include "obs/watchdog.hpp"  // WdSample (the shared gauge snapshot shape)
 
-#if !defined(ICILK_TIMESERIES_ENABLED)
-#define ICILK_TIMESERIES_ENABLED 1
-#endif
+#include "obs/hooks.hpp"
 
 namespace icilk::obs {
 
 class MetricsRegistry;
-
-/// True when the timeseries hooks were compiled in.
-constexpr bool timeseries_compiled_in() noexcept {
-  return ICILK_TIMESERIES_ENABLED != 0;
-}
 
 // ---------------------------------------------------------------------------
 // One closed epoch
@@ -245,7 +238,7 @@ class TimeSeries {
 // Hot-path hook
 // ---------------------------------------------------------------------------
 
-#if ICILK_TIMESERIES_ENABLED
+#if ICILK_HOOKS_ENABLED
 
 /// Folds a completed request into the current epoch. The runtime calls
 /// this beside MetricsRegistry::record_request; `ts` is null when the
@@ -255,10 +248,10 @@ inline void ts_note_request(TimeSeries* ts, int level,
   if (ts != nullptr) ts->record(level, latency_ns);
 }
 
-#else  // !ICILK_TIMESERIES_ENABLED
+#else  // !ICILK_HOOKS_ENABLED
 
 inline void ts_note_request(TimeSeries*, int, std::uint64_t) noexcept {}
 
-#endif  // ICILK_TIMESERIES_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 }  // namespace icilk::obs

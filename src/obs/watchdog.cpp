@@ -43,7 +43,7 @@ const char* wd_detector_name(WdDetector d) noexcept {
 // Suspended/resumable census registry
 // ---------------------------------------------------------------------------
 
-#if ICILK_WATCHDOG_ENABLED
+#if ICILK_HOOKS_ENABLED
 
 namespace {
 
@@ -152,12 +152,12 @@ void wd_census_fill(WdSample& s, std::uint64_t now_ns) noexcept {
   s.res_oldest_age_ns = res_oldest_age;
 }
 
-#else  // !ICILK_WATCHDOG_ENABLED
+#else  // !ICILK_HOOKS_ENABLED
 
 WdCensusStats wd_census_stats() noexcept { return {}; }
 void wd_census_fill(WdSample&, std::uint64_t) noexcept {}
 
-#endif  // ICILK_WATCHDOG_ENABLED
+#endif  // ICILK_HOOKS_ENABLED
 
 // ---------------------------------------------------------------------------
 // SIGUSR2 plumbing
@@ -560,7 +560,7 @@ std::string Watchdog::health_json() const {
   WdSample s = latest();
   std::ostringstream os;
   os << "{\"watchdog\":{";
-  os << "\"compiled_in\":" << (watchdog_compiled_in() ? "true" : "false");
+  os << "\"compiled_in\":" << (hooks_compiled_in() ? "true" : "false");
   os << ",\"running\":" << (running() ? "true" : "false");
   os << ",\"scheduler\":\"" << json_escape(cfg_.scheduler) << '"';
   os << ",\"period_ms\":" << cfg_.period_ms;

@@ -195,8 +195,8 @@ TEST_F(McStatsObsTest, PromptnessLatencyPercentilesAppear) {
 }
 
 TEST_F(McStatsObsTest, TraceSinkCapturedEvents) {
-  if (!obs::trace_compiled_in()) {
-    GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!obs::hooks_compiled_in()) {
+    GTEST_SKIP() << "built with ICILK_HOOKS=OFF";
   }
   drive_load(/*clients=*/4, /*rounds=*/20);
 

@@ -6,6 +6,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -135,6 +136,40 @@ TEST(EventExtra, TimeoutOnFdEventActsAsDeadline) {
   base.dispatch();
   EXPECT_TRUE(seen & kTimeout);
   EXPECT_GE(std::chrono::steady_clock::now() - t0, 15ms);
+}
+
+// A loopbreak() that lands before the thread reaches dispatch() must still
+// stop the loop: PthreadMcServer::stop() breaks its I/O threads' loops and
+// joins them, and a thread that has not yet entered dispatch() must not
+// run on forever. The loop runs on a helper thread with a deadline, so a
+// lost break fails the test instead of hanging it.
+TEST(EventExtra, LoopbreakBeforeDispatchStopsIt) {
+  EventBase base;
+  base.loopbreak();
+  std::atomic<bool> returned{false};
+  std::thread t([&] {
+    base.dispatch();
+    returned.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const bool stopped = returned.load();
+  if (!stopped) base.loopbreak();  // unstick the helper so join() returns
+  t.join();
+  EXPECT_TRUE(stopped) << "a break issued before dispatch() was lost";
+
+  // The break was consumed: the next dispatch() runs until a new one.
+  int fired = 0;
+  Event* ev = base.new_event(-1, kTimeout, [&](int, short) {
+    ++fired;
+    base.loopbreak();
+  });
+  ev->add(10ms);
+  base.dispatch();
+  EXPECT_EQ(fired, 1);
+  base.free_event(ev);
 }
 
 }  // namespace

@@ -180,7 +180,7 @@ TEST(InjectEngine, InstallRoutesProbesAndUninstallStops) {
   e.install();
   ASSERT_EQ(Engine::active(), &e);
   const Outcome o = probe(Point::kSteal);
-  if (compiled_in()) {
+  if (obs::hooks_compiled_in()) {
     EXPECT_EQ(o.action, Action::kYield);
     EXPECT_GE(e.injected_at(Point::kSteal), 1u);
   } else {
@@ -207,8 +207,8 @@ TEST(InjectEngine, SingleActiveEngine) {
 }
 
 TEST(InjectEngine, InjectedDecisionsLandInTraceRing) {
-  if (!compiled_in() || !obs::trace_compiled_in()) {
-    GTEST_SKIP() << "hooks or tracing compiled out";
+  if (!obs::hooks_compiled_in()) {
+    GTEST_SKIP() << "hooks compiled out";
   }
   std::atomic<bool> enabled{true};
   obs::TraceRing ring(1 << 10, &enabled, "inject-test", 0);

@@ -27,8 +27,8 @@ using inject::Point;
 
 struct InjectReactorTest : ::testing::Test {
   void SetUp() override {
-    if (!inject::compiled_in()) {
-      GTEST_SKIP() << "ICILK_INJECT=OFF: hooks compiled out";
+    if (!obs::hooks_compiled_in()) {
+      GTEST_SKIP() << "ICILK_HOOKS=OFF: hooks compiled out";
     }
     RuntimeConfig cfg;
     cfg.num_workers = 2;

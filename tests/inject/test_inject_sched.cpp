@@ -1,7 +1,7 @@
 // Scheduler crosspoints: forced abandonment must route the active deque
 // through the mugging queue and back — age intact, nothing lost — and the
-// perturbation points (steal/mug/suspend/resume-publish) must widen race
-// windows without breaking completion.
+// perturbation points (steal/mug/suspend/resume-publish/wake) must widen
+// race windows without breaking completion.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 
 #include "core/api.hpp"
 #include "core/deque.hpp"
+#include "core/future.hpp"
 #include "core/prompt_scheduler.hpp"
 #include "core/runtime.hpp"
 #include "inject/inject.hpp"
@@ -61,8 +62,8 @@ TEST(InjectSchedUnit, MuggingQueueBeatsOlderRegularEntries) {
 
 struct InjectSchedTest : ::testing::Test {
   void SetUp() override {
-    if (!inject::compiled_in()) {
-      GTEST_SKIP() << "ICILK_INJECT=OFF: hooks compiled out";
+    if (!obs::hooks_compiled_in()) {
+      GTEST_SKIP() << "ICILK_HOOKS=OFF: hooks compiled out";
     }
   }
   void TearDown() override { engine.reset(); }
@@ -183,6 +184,68 @@ TEST_F(InjectSchedTest, PerturbedStealMugSuspendLosesNothing) {
   for (auto& f : fs) f.get();
   EXPECT_EQ(done.load(), 16);
   EXPECT_GT(engine->injected(), 0u);
+  rt->shutdown();
+}
+
+// The wake window: a Suspended deque with stealable entries stays in its
+// pool, so between a waker's make_resumable() and whatever the waker does
+// next, a thief holding that pool reference can mug the deque. Here the
+// waker is this thread completing `gate`; the kWake crosspoint holds it in
+// the window while the one worker comes free and mugs the deque. The
+// waker must then leave the deque to the thief: asserting that it is
+// still Resumable aborts, and republishing it would publish a running
+// deque.
+TEST_F(InjectSchedTest, ThiefMugsDequeInsideWakeWindow) {
+  constexpr std::uint32_t kWakerStream = 1000;
+  inject::Config cfg;
+  cfg.set_rate(Point::kWake, 1000000);
+  cfg.set_force(Point::kWake, Action::kDelay);
+  cfg.max_delay_spins = 20000000;
+  // The first seed whose first kWake decision on the waker's stream spins
+  // at least half the bound: tens of milliseconds even where a pause
+  // instruction is cheap, against the worker's 5 ms sleep below.
+  cfg.seed = 1;
+  while (inject::Engine::eval(cfg, kWakerStream, 0, Point::kWake).arg <
+         cfg.max_delay_spins / 2) {
+    ++cfg.seed;
+  }
+  arm(cfg);
+  engine->bind_stream(kWakerStream);
+
+  auto rt = make_rt(1);
+  auto gate = Ref<FutureState<void>>::make(*rt);
+  std::atomic<bool> thief_busy{false};
+  std::atomic<bool> waker_returned{false};
+  std::atomic<bool> resumed_inside_window{false};
+  auto root = rt->submit(0, [&] {
+    spawn([&] {
+      // Blocks with both ancestor continuations above it in the deque,
+      // which therefore stays in its pool while Suspended.
+      spawn([&] {
+        Future<void>(gate).get();
+        resumed_inside_window.store(!waker_returned.load());
+      });
+      sync();
+    });
+    // The idle worker stole this continuation (the top entry) once the
+    // deque suspended; the middle one is still stealable. Hold the worker
+    // until the waker is inside the window, then free it to mug.
+    thief_busy.store(true);
+    while (!gate->ready()) std::this_thread::yield();
+    std::this_thread::sleep_for(5ms);
+    sync();
+  });
+  while (!thief_busy.load()) std::this_thread::yield();
+  gate->complete();
+  waker_returned.store(true);
+  root.get();
+
+  const std::vector<inject::Decision> log = engine->stream_log(kWakerStream);
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(log.front().point, Point::kWake);
+  EXPECT_TRUE(resumed_inside_window.load())
+      << "the worker did not mug the deque while the waker was held";
+  EXPECT_GE(rt->stats_snapshot().mugs, 1u);
   rt->shutdown();
 }
 

@@ -29,8 +29,8 @@ using inject::Point;
 
 struct InjectSoakTest : ::testing::Test {
   void SetUp() override {
-    if (!inject::compiled_in()) {
-      GTEST_SKIP() << "ICILK_INJECT=OFF: hooks compiled out";
+    if (!obs::hooks_compiled_in()) {
+      GTEST_SKIP() << "ICILK_HOOKS=OFF: hooks compiled out";
     }
   }
   void TearDown() override { engine.reset(); }

@@ -151,7 +151,7 @@ TEST(ChromeExport, EmptySinkIsValidJson) {
 }
 
 TEST(ChromeExport, EventsAndThreadMetadata) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!hooks_compiled_in()) GTEST_SKIP() << "built with ICILK_HOOKS=OFF";
   TraceSink sink(64, true);
   TraceRing& w0 = sink.acquire_ring("worker0");
   TraceRing& io = sink.acquire_ring("io0");
@@ -177,7 +177,7 @@ TEST(ChromeExport, EventsAndThreadMetadata) {
 }
 
 TEST(ChromeExport, SleepPairsBecomeDurationEvents) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!hooks_compiled_in()) GTEST_SKIP() << "built with ICILK_HOOKS=OFF";
   TraceSink sink(64, true);
   TraceRing& w0 = sink.acquire_ring("worker0");
   w0.record(EventKind::kSleepBegin);
@@ -194,7 +194,7 @@ TEST(ChromeExport, SleepPairsBecomeDurationEvents) {
 }
 
 TEST(ChromeExport, TimestampsStartNearZeroMicroseconds) {
-  if (!trace_compiled_in()) GTEST_SKIP() << "built with ICILK_TRACE=OFF";
+  if (!hooks_compiled_in()) GTEST_SKIP() << "built with ICILK_HOOKS=OFF";
   TraceSink sink(64, true);
   TraceRing& w0 = sink.acquire_ring("worker0");
   w0.record(EventKind::kSpawn, 0, 0);

@@ -282,8 +282,8 @@ std::uint64_t count_for_prefix(const ProfileReport& r,
 
 struct ProfAttribution : ::testing::Test {
   void SetUp() override {
-    if (!profile_compiled_in()) {
-      GTEST_SKIP() << "ICILK_PROFILE=OFF: hooks compiled out";
+    if (!hooks_compiled_in()) {
+      GTEST_SKIP() << "ICILK_HOOKS=OFF: hooks compiled out";
     }
   }
 };
@@ -358,7 +358,7 @@ TEST_F(ProfAttribution, SchedulerContextRestoredAcrossSwitchContext) {
 }
 
 TEST_F(ProfAttribution, AttributionSurvivesForcedAbandonMigration) {
-  if (!inject::compiled_in()) GTEST_SKIP() << "ICILK_INJECT=OFF";
+  if (!obs::hooks_compiled_in()) GTEST_SKIP() << "ICILK_HOOKS=OFF";
   // Force EVERY abandon check to abandon: tasks with spawn boundaries
   // migrate constantly (abandon -> resumable -> mug on another worker).
   // Every sample a task places about itself must still say kTask at the
@@ -485,7 +485,7 @@ TEST_F(ProfAttribution, RealTimerSmokeCapturesBusyWorkers) {
 }
 
 TEST(ProfCompiledOut, RuntimeHasNoProfilerWhenOff) {
-  if (profile_compiled_in()) GTEST_SKIP() << "hooks compiled in";
+  if (hooks_compiled_in()) GTEST_SKIP() << "hooks compiled in";
   auto rt = make_rt(1);
   EXPECT_EQ(rt->profiler(), nullptr);
   // Hooks are no-ops but callable.

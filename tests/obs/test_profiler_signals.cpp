@@ -49,8 +49,8 @@ struct ProfSignals : ::testing::Test {
     if (ICILK_TEST_SANITIZED) {
       GTEST_SKIP() << "signal-armed tests: skip under sanitizers";
     }
-    if (!profile_compiled_in()) {
-      GTEST_SKIP() << "ICILK_PROFILE=OFF: hooks compiled out";
+    if (!hooks_compiled_in()) {
+      GTEST_SKIP() << "ICILK_HOOKS=OFF: hooks compiled out";
     }
   }
 };
@@ -79,7 +79,7 @@ TEST_F(ProfSignals, SigprofHandlerMasksSigusr2) {
 // for real here; do_syscall's inline retry absorbs the injected ones.
 // Every round trip must still deliver its bytes.
 TEST_F(ProfSignals, EintrStormUnderProfilingDeliversAllBytes) {
-  if (!inject::compiled_in()) GTEST_SKIP() << "ICILK_INJECT=OFF";
+  if (!obs::hooks_compiled_in()) GTEST_SKIP() << "ICILK_HOOKS=OFF";
   inject::Config icfg;
   icfg.seed = 41;
   icfg.set_rate(inject::Point::kSyscallRead, 500000);
@@ -154,7 +154,7 @@ TEST_F(ProfSignals, EintrStormUnderProfilingDeliversAllBytes) {
 // The mask policy makes the nesting one-directional; nothing may deadlock
 // or crash, and both subsystems must complete their jobs.
 TEST_F(ProfSignals, ConcurrentWatchdogDumpsDuringProfileWindow) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!hooks_compiled_in()) GTEST_SKIP() << "ICILK_HOOKS=OFF";
   RuntimeConfig cfg;
   cfg.num_workers = 2;
   cfg.num_levels = 4;

@@ -25,8 +25,8 @@ using namespace std::chrono_literals;
 
 struct ReqAttributionTest : ::testing::Test {
   void SetUp() override {
-    if (!obs::reqtrace_compiled_in()) {
-      GTEST_SKIP() << "ICILK_REQTRACE=OFF: hooks compiled out";
+    if (!obs::hooks_compiled_in()) {
+      GTEST_SKIP() << "ICILK_HOOKS=OFF: hooks compiled out";
     }
   }
   void TearDown() override { engine.reset(); }
@@ -75,8 +75,8 @@ TEST_F(ReqAttributionTest, SurvivesSyncSuspension) {
 // Resumable -> mugging queue -> mugged, possibly by another worker. The
 // context must ride along and the runnable (aging) phase must show up.
 TEST_F(ReqAttributionTest, SurvivesForcedAbandonmentAndMug) {
-  if (!inject::compiled_in()) {
-    GTEST_SKIP() << "ICILK_INJECT=OFF: cannot force abandonment";
+  if (!obs::hooks_compiled_in()) {
+    GTEST_SKIP() << "ICILK_HOOKS=OFF: cannot force abandonment";
   }
   inject::Config icfg;
   icfg.seed = 11;

@@ -60,11 +60,8 @@ void tree_node(int d, std::uint64_t burn_ns) {
 
 struct SpanprofTest : ::testing::Test {
   void SetUp() override {
-    if (!obs::spanprof_compiled_in()) {
-      GTEST_SKIP() << "ICILK_SPANPROF=OFF: hooks compiled out";
-    }
-    if (!obs::reqtrace_compiled_in()) {
-      GTEST_SKIP() << "ICILK_REQTRACE=OFF: per-request recording needs ids";
+    if (!obs::hooks_compiled_in()) {
+      GTEST_SKIP() << "ICILK_HOOKS=OFF: hooks compiled out";
     }
   }
   void TearDown() override { engine.reset(); }
@@ -182,8 +179,8 @@ TEST_F(SpanprofTest, ExternalIoWaitIsSerialFloor) {
 }
 
 TEST_F(SpanprofTest, SurvivesForcedAbandonmentAndMug) {
-  if (!inject::compiled_in()) {
-    GTEST_SKIP() << "ICILK_INJECT=OFF: cannot force abandonment";
+  if (!obs::hooks_compiled_in()) {
+    GTEST_SKIP() << "ICILK_HOOKS=OFF: cannot force abandonment";
   }
   inject::Config icfg;
   icfg.seed = 11;

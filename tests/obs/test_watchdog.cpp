@@ -515,7 +515,7 @@ std::unique_ptr<Runtime> make_wd_rt(int workers, int period_ms = 5) {
 }
 
 TEST(WdEndToEnd, RuntimeRunsSamplerAndStaysClean) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!hooks_compiled_in()) GTEST_SKIP() << "ICILK_HOOKS=OFF";
   auto rt = make_wd_rt(2, 2);
   ASSERT_NE(rt->watchdog(), nullptr);
   EXPECT_TRUE(rt->watchdog()->running());
@@ -542,8 +542,7 @@ TEST(WdEndToEnd, RuntimeRunsSamplerAndStaysClean) {
 }
 
 TEST(WdEndToEnd, InjectPromptMaskTripsPromptnessDetector) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
-  if (!inject::compiled_in()) GTEST_SKIP() << "ICILK_INJECT=OFF";
+  if (!hooks_compiled_in()) GTEST_SKIP() << "ICILK_HOOKS=OFF";
   // Mask EVERY promptness check: workers dwell at their level no matter
   // what the bitfield says — the exact violation the detector owns.
   inject::Config icfg;
@@ -594,7 +593,7 @@ TEST(WdEndToEnd, InjectPromptMaskTripsPromptnessDetector) {
 }
 
 TEST(WdEndToEnd, PlantedStaleResumableTripsAgingDetector) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!hooks_compiled_in()) GTEST_SKIP() << "ICILK_HOOKS=OFF";
   // A resumable-census entry whose publication "got lost": planted
   // directly in the registry (the hook is the public contract), aged far
   // past threshold, while the runtime's workers sit idle.
@@ -611,7 +610,7 @@ TEST(WdEndToEnd, PlantedStaleResumableTripsAgingDetector) {
 }
 
 TEST(WdEndToEnd, SuspendedTasksShowInCensusAndDrainClean) {
-  if (!watchdog_compiled_in()) GTEST_SKIP() << "ICILK_WATCHDOG=OFF";
+  if (!hooks_compiled_in()) GTEST_SKIP() << "ICILK_HOOKS=OFF";
   auto rt = make_wd_rt(2, 2);
   std::atomic<bool> release{false};
   // A gate task occupies one worker until released; blockers pile up
@@ -642,7 +641,7 @@ TEST(WdEndToEnd, SamplerVersusTeardownRace) {
   // The TSan/ASan target: a fast sampler racing runtime construction and
   // destruction. Any use-after-free between wd_fill_sample's walk and
   // shutdown order is caught here.
-  const int iters = watchdog_compiled_in() ? 15 : 3;
+  const int iters = hooks_compiled_in() ? 15 : 3;
   for (int i = 0; i < iters; ++i) {
     auto rt = make_wd_rt(2, 1);
     std::vector<Future<void>> futs;
