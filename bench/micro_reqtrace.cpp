@@ -139,17 +139,13 @@ void bench_transition() {
 /// recycling); attribution is charged only for the DELTA.
 bool bench_runtime() {
   RuntimeConfig cfg;
-  cfg.num_workers = 2;
+  // One worker: this bench gates on the attribution alloc DELTA between
+  // two identical loops, and a peer worker's steals — how many depends on
+  // when it wakes — make the fiber/deque pool growth wobble between the
+  // base and attributed runs. With no peer both loops run serially.
+  cfg.num_workers = 1;
   cfg.num_levels = 4;
-  // Pin the idle-spin rounds (the -1 default resolves against the host's
-  // core count at attach): this bench gates on the attribution alloc
-  // DELTA between two identical loops, and an immediate-sleep idle policy
-  // makes the peer worker's steal count — and with it the fiber/deque
-  // pool growth — wobble between the base and attributed runs.
-  PromptScheduler::Options po;
-  po.idle_spin_rounds = 8;
-  auto rt =
-      std::make_unique<Runtime>(cfg, std::make_unique<PromptScheduler>(po));
+  auto rt = std::make_unique<Runtime>(cfg, std::make_unique<PromptScheduler>());
   constexpr std::uint64_t kWarm = 500, kOps = 20'000;
 
   auto loop = [&rt](std::uint64_t n, bool attributed) {

@@ -1,8 +1,6 @@
 #include "apps/email/email_server.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "apps/email/codec.hpp"
 #include "concurrent/rng.hpp"
@@ -66,36 +64,50 @@ Priority EmailServer::priority_of(EmailOp op) const {
 }
 
 void EmailServer::inject(EmailOp op, int user, std::uint64_t arrival_ns) {
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
   const std::uint64_t seed =
       op_seed_.fetch_add(1, std::memory_order_relaxed) + cfg_.seed;
-  rt_->submit(priority_of(op), [this, op, user, arrival_ns, seed] {
-    // Attribute from the open-loop arrival: scheduler queueing under
-    // overload lands in the "queueing" phase, matching what hist_ sees.
-    rt_->req_begin(arrival_ns);
-    switch (op) {
-      case EmailOp::Send:
-        op_send(user, seed);
-        break;
-      case EmailOp::Sort:
-        op_sort(user);
-        break;
-      case EmailOp::Compress:
-        op_compress(user);
-        break;
-      case EmailOp::Print:
-        op_print(user);
-        break;
-    }
-    rt_->req_end();
-    hist_[static_cast<int>(op)].record(now_ns() - arrival_ns);
-    outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-  });
+  Future<void> f =
+      rt_->submit(priority_of(op), [this, op, user, arrival_ns, seed] {
+        // Attribute from the open-loop arrival: scheduler queueing under
+        // overload lands in the "queueing" phase, matching what hist_ sees.
+        rt_->req_begin(arrival_ns);
+        switch (op) {
+          case EmailOp::Send:
+            op_send(user, seed);
+            break;
+          case EmailOp::Sort:
+            op_sort(user);
+            break;
+          case EmailOp::Compress:
+            op_compress(user);
+            break;
+          case EmailOp::Print:
+            op_print(user);
+            break;
+        }
+        rt_->req_end();
+        hist_[static_cast<int>(op)].record(now_ns() - arrival_ns);
+      });
+  std::lock_guard<std::mutex> g(pending_mu_);
+  // Keep only ops that may still be running, so the queue stays as short
+  // as the backlog between drains.
+  while (!pending_.empty() && pending_.front().ready()) pending_.pop_front();
+  pending_.push_back(std::move(f));
 }
 
 void EmailServer::drain() {
-  while (outstanding_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (;;) {
+    Future<void> f;
+    {
+      std::lock_guard<std::mutex> g(pending_mu_);
+      if (pending_.empty()) return;
+      f = std::move(pending_.front());
+      pending_.pop_front();
+    }
+    // The future completes in the task's epilogue, after its implicit
+    // end-of-task sync: an op whose body returned but which was abandoned
+    // at that sync is still parked, and shutting down then leaks it.
+    f.get();
   }
 }
 

@@ -19,7 +19,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,7 +66,8 @@ class EmailServer {
   /// timestamp latency is measured from. Thread-safe.
   void inject(EmailOp op, int user, std::uint64_t arrival_ns);
 
-  /// Blocks until every injected operation completed.
+  /// Blocks until every injected operation's task finished, its implicit
+  /// end-of-task sync included.
   void drain();
 
   load::Histogram& histogram(EmailOp op) {
@@ -102,7 +105,8 @@ class EmailServer {
   std::unique_ptr<net::MetricsHttpServer> metrics_http_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   load::Histogram hist_[kEmailOpCount];
-  std::atomic<std::uint64_t> outstanding_{0};
+  std::mutex pending_mu_;
+  std::deque<Future<void>> pending_;  ///< injected ops, oldest first
   std::atomic<std::uint64_t> op_seed_{0};
   std::atomic<std::uint64_t> sink_{0};  // defeats dead-code elimination
 };

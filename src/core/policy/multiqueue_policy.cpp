@@ -3,9 +3,7 @@
 #include <sched.h>
 
 #include <limits>
-#include <thread>
 
-#include "concurrent/spinlock.hpp"
 #include "core/policy/adopt.hpp"
 #include "core/runtime.hpp"
 #include "inject/inject.hpp"
@@ -37,13 +35,6 @@ void MultiQueuePolicy::attach(Runtime& rt, PolicyHostBase& host) {
   // the bitfield, which here mirrors the entry counters — valid only at
   // check_period 1 (see prompt_policy.cpp for the full rationale).
   if (opts_.check_period == 1) host.arm_preop_gate(&bits_);
-  if (opts_.idle_spin_rounds < 0) {
-    const unsigned cores = std::thread::hardware_concurrency();
-    const int threads = rt.config().num_workers + rt.config().num_io_threads;
-    const bool oversubscribed =
-        cores != 0 && threads >= static_cast<int>(cores);
-    opts_.idle_spin_rounds = oversubscribed ? 0 : 8;
-  }
 }
 
 std::uint64_t MultiQueuePolicy::key_for(Priority p, bool urgent) {
@@ -135,7 +126,6 @@ void MultiQueuePolicy::on_resumable(Ref<Deque> d) {
 ProbeResult MultiQueuePolicy::probe(Worker& w, AcquireState& st) {
   const int h = PriorityBitfield::highest_of(bits_.load());
   if (h < 0) return ProbeResult::kNoWork;
-  st.empty_rounds = 0;
   st.last_level = h;
 
   const auto requeue = [this](Ref<Deque> d) {
@@ -167,17 +157,7 @@ ProbeResult MultiQueuePolicy::probe(Worker& w, AcquireState& st) {
 
 void MultiQueuePolicy::on_idle(Worker& w, AcquireState& st, ProbeResult r) {
   if (r == ProbeResult::kNoWork) {
-    if (opts_.sleep_when_idle) {
-      if (++st.empty_rounds <= opts_.idle_spin_rounds) {
-        sched_yield();
-      } else {
-        wake_.idle_sleep(w, [this] { return sleep_ok(); });
-        st.empty_rounds = 0;
-      }
-    } else {
-      if (++st.failed_rounds % 16 == 0) sched_yield();
-      cpu_relax();
-    }
+    wake_.idle_sleep(w, [this] { return sleep_ok(); });
     return;
   }
   if (++st.failed_rounds % 16 == 0) sched_yield();

@@ -58,10 +58,9 @@ class MultiQueuePolicy {
     /// Deadline mode: per-level slack step. A deque at priority p gets
     /// deadline now + (63 - p) * level_slack_us.
     int level_slack_us = 1000;
-    /// Same promptness / idle knobs as PromptPolicy::Options.
+    /// Same promptness knob as PromptPolicy::Options; idle workers sleep
+    /// at once, as under Prompt.
     int check_period = 1;
-    bool sleep_when_idle = true;
-    int idle_spin_rounds = -1;
     /// Per-worker pop stickiness: each worker remembers the shard that
     /// last served it a pop and tries it as the first of the two sampled
     /// choices (the second stays random, preserving the two-choice rank

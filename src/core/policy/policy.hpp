@@ -65,7 +65,6 @@ enum class ProbeResult {
 /// policies can keep backoff counters without per-worker allocations.
 struct AcquireState {
   int failed_rounds = 0;  ///< unproductive probes since acquire entry
-  int empty_rounds = 0;   ///< consecutive kNoWork sightings (sleep backoff)
   int last_level = -1;    ///< level the last probe targeted (trace arg)
 };
 

@@ -2,9 +2,6 @@
 
 #include <sched.h>
 
-#include <thread>
-
-#include "concurrent/spinlock.hpp"
 #include "core/policy/adopt.hpp"
 #include "core/runtime.hpp"
 #include "inject/inject.hpp"
@@ -30,20 +27,6 @@ void PromptPolicy::attach(Runtime& rt, PolicyHostBase& host) {
   // configurations need the virtual path's TLS counter; period 0 skips
   // checks entirely and the virtual early-return is already trivial.
   if (opts_.check_period == 1) host.arm_preop_gate(&bits_);
-  // Resolve the auto idle-spin default (Options::idle_spin_rounds == -1)
-  // now that the runtime's thread count is known. Pre-sleep spinning only
-  // pays when the thread that will publish work runs in parallel with the
-  // spinner; once workers + I/O threads saturate the host's cores, each
-  // yielding re-check burns a timeslice the producer needed, and the
-  // latency tail inflates by exactly that contention. Explicit values are
-  // honored verbatim (ablation).
-  if (opts_.idle_spin_rounds < 0) {
-    const unsigned cores = std::thread::hardware_concurrency();
-    const int threads = rt.config().num_workers + rt.config().num_io_threads;
-    const bool oversubscribed =
-        cores != 0 && threads >= static_cast<int>(cores);
-    opts_.idle_spin_rounds = oversubscribed ? 0 : 8;
-  }
 }
 
 void PromptPolicy::set_bit(Priority p) {
@@ -104,7 +87,6 @@ bool PromptPolicy::try_get_work(Worker& w, Priority h) {
 ProbeResult PromptPolicy::probe(Worker& w, AcquireState& st) {
   const int h = PriorityBitfield::highest_of(bits_.load());
   if (h < 0) return ProbeResult::kNoWork;
-  st.empty_rounds = 0;
   st.last_level = h;
 
   if (try_get_work(w, h)) {
@@ -137,23 +119,9 @@ ProbeResult PromptPolicy::probe(Worker& w, AcquireState& st) {
 
 void PromptPolicy::on_idle(Worker& w, AcquireState& st, ProbeResult r) {
   if (r == ProbeResult::kNoWork) {
-    if (opts_.sleep_when_idle) {
-      // Optional pre-sleep backoff: a few yielding re-checks before
-      // committing to the eventcount absorb wake churn when new work
-      // lands microseconds after the field goes empty. On a host where
-      // worker threads outnumber cores the spinning itself delays the
-      // I/O threads that produce the work, so the default leans low;
-      // Options::idle_spin_rounds is the ablation knob.
-      if (++st.empty_rounds <= opts_.idle_spin_rounds) {
-        sched_yield();
-      } else {
-        wake_.idle_sleep(w, [this] { return sleep_ok(); });
-        st.empty_rounds = 0;
-      }
-    } else {
-      if (++st.failed_rounds % 16 == 0) sched_yield();
-      cpu_relax();
-    }
+    // Nothing published at any level: sleep (or adopt the reactor's
+    // epoll) at once, as the paper's thieves do.
+    wake_.idle_sleep(w, [this] { return sleep_ok(); });
     return;
   }
   if (++st.failed_rounds % 16 == 0) sched_yield();

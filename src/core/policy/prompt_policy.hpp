@@ -44,18 +44,9 @@ class PromptPolicy {
     /// Setting a period N > 1 only checks every Nth op (ablation);
     /// 0 disables abandonment entirely (work-first, ablation).
     int check_period = 1;
-    /// Sleep on the idle eventcount when the bitfield is zero (paper
-    /// behaviour); false spins with backoff (ablation).
-    bool sleep_when_idle = true;
-    /// Yielding re-check rounds before an idle worker commits to the
-    /// eventcount sleep. 0 sleeps immediately (fewer runnable threads on
-    /// an oversubscribed host); larger values absorb wake churn at steady
-    /// moderate load on multicore hosts. The default (-1) resolves at
-    /// attach: 0 when the runtime's threads (workers + I/O) saturate the
-    /// host's cores — a spinner's timeslice there is exactly what the
-    /// producer thread needs to publish the work it is waiting for — and
-    /// 8 when cores are to spare. Set explicitly for ablation.
-    int idle_spin_rounds = -1;
+    // Idle workers sleep as soon as the bitfield reads all-zero, with no
+    // yielding spin first: a spin cost more server CPU than the wakes it
+    // saved (DESIGN.md, "Idle workers sleep at once").
   };
 
   explicit PromptPolicy(const Options& opts);

@@ -467,17 +467,23 @@ void Runtime::spawn_linked(Priority p, Closure body) {
 
   park_current([this, self, body = std::move(body), p]() mutable {
     Worker& w2 = *this_worker();
+    // Read st BEFORE push_bottom publishes the parked parent: a thief that
+    // resumes it runs on and advances its span clocks (and may change its
+    // request), so a read after the push can see the continuation's
+    // progress instead of the spawn point. The parent's clocks are current
+    // here — run_next flushed its strand right after the park's switch
+    // returned.
+    obs::ReqContext* const req = self->st.req;
+    const std::uint64_t sp_d = self->st.sp.depth;
+    const std::uint64_t sp_bd = self->st.sp.bdepth + obs::sp_overhead_est();
     w2.active->push_bottom(self);
     sched_->on_push(w2);
     assert(!w2.next.valid());
     w2.next =
         Continuation::of_closure(std::move(body), &self->st.frame, nullptr, p);
-    w2.next.req = self->st.req;  // child serves the same request (non-owner)
-    // Child span base: the parent's clocks are current here — run_next
-    // flushed its strand right after the park's switch returned, before
-    // this publish ran.
-    w2.next.sp_depth = self->st.sp.depth;
-    w2.next.sp_bdepth = self->st.sp.bdepth + obs::sp_overhead_est();
+    w2.next.req = req;  // child serves the same request (non-owner)
+    w2.next.sp_depth = sp_d;
+    w2.next.sp_bdepth = sp_bd;
   });
   // Resumed: serially after the child finished, by a thief who stole our
   // continuation, or by a mug if the deque suspended below us.
@@ -520,9 +526,7 @@ void Runtime::fut_spawn(Priority p, Closure body, Ref<FutureStateBase> fut) {
         // Read st BEFORE push_bottom publishes our parked continuation: a
         // future routine holds no join unit on this frame, so once self is
         // visible a thief can resume it, run it to completion, and recycle
-        // the TaskFiber under us. (spawn_linked may read self->st after
-        // the push because its child's join unit keeps the parent alive
-        // until the child's decrement; futures have no such link.)
+        // the TaskFiber under us (spawn_linked reads before the push too).
         obs::ReqContext* const req = self->st.req;
         const std::uint64_t sp_d = self->st.sp.depth;
         const std::uint64_t sp_bd =

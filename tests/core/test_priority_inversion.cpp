@@ -4,8 +4,10 @@
 // scheduler family via the make_scheduler() selection helper.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "core/api.hpp"
 #include "core/runtime.hpp"
@@ -28,11 +30,18 @@ class PriorityInversionTest : public ::testing::TestWithParam<const char*> {
 
 TEST_P(PriorityInversionTest, HighWaitingOnLowIsFlagged) {
   auto rt = make_rt(true);
-  rt->submit(5, [] {
+  Runtime& r = *rt;
+  rt->submit(5, [&r] {
       // A priority-5 task blocking on a priority-1 routine: inversion.
-      auto f = fut_create_at(1, [] {
-        volatile long x = 0;
-        for (long i = 0; i < 400000; ++i) x += i;
+      // The routine holds until the get has suspended, so the future is
+      // not ready when get() looks, however the host delays the waiter.
+      auto f = fut_create_at(1, [&r] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (r.stats_snapshot().gets_suspended == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
         return 1;
       });
       (void)f.get();

@@ -54,7 +54,7 @@ TEST_P(PublishBatchTest, ForcedSleeperAlwaysWoken) {
   auto rt = make_rt(2);
   rt->submit(0, [] {}).get();  // spin the runtime up once
   for (int round = 0; round < 200; ++round) {
-    // Let the workers drain their idle spin and park.
+    // Let the workers go idle and park.
     ::usleep(round % 4 == 0 ? 2000 : 200);
     Future<int> f;
     {

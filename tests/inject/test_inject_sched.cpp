@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -68,12 +69,13 @@ struct InjectSchedTest : ::testing::Test {
   }
   void TearDown() override { engine.reset(); }
 
-  std::unique_ptr<Runtime> make_rt(int workers) {
+  std::unique_ptr<Runtime> make_rt(
+      int workers,
+      std::unique_ptr<Scheduler> sched = std::make_unique<PromptScheduler>()) {
     RuntimeConfig cfg;
     cfg.num_workers = workers;
     cfg.num_levels = 8;
-    return std::make_unique<Runtime>(cfg,
-                                     std::make_unique<PromptScheduler>());
+    return std::make_unique<Runtime>(cfg, std::move(sched));
   }
 
   void arm(const inject::Config& cfg) {
@@ -194,8 +196,13 @@ TEST_F(InjectSchedTest, PerturbedStealMugSuspendLosesNothing) {
 // the window while the one worker comes free and mugs the deque. The
 // waker must then leave the deque to the thief: asserting that it is
 // still Resumable aborts, and republishing it would publish a running
-// deque.
-TEST_F(InjectSchedTest, ThiefMugsDequeInsideWakeWindow) {
+// deque. The waker is not a worker, so it takes wake's publish branch and
+// hands the already-mugged deque to the policy's on_resumable: the case
+// runs once per policy.
+struct InjectWakeTest : InjectSchedTest,
+                        ::testing::WithParamInterface<const char*> {};
+
+TEST_P(InjectWakeTest, ThiefMugsDequeInsideWakeWindow) {
   constexpr std::uint32_t kWakerStream = 1000;
   inject::Config cfg;
   cfg.set_rate(Point::kWake, 1000000);
@@ -212,7 +219,9 @@ TEST_F(InjectSchedTest, ThiefMugsDequeInsideWakeWindow) {
   arm(cfg);
   engine->bind_stream(kWakerStream);
 
-  auto rt = make_rt(1);
+  auto sched = make_scheduler(GetParam());
+  ASSERT_NE(sched, nullptr) << GetParam();
+  auto rt = make_rt(1, std::move(sched));
   auto gate = Ref<FutureState<void>>::make(*rt);
   std::atomic<bool> thief_busy{false};
   std::atomic<bool> waker_returned{false};
@@ -248,6 +257,12 @@ TEST_F(InjectSchedTest, ThiefMugsDequeInsideWakeWindow) {
   EXPECT_GE(rt->stats_snapshot().mugs, 1u);
   rt->shutdown();
 }
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, InjectWakeTest,
+                         ::testing::Values("prompt", "multiqueue", "adaptive"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 // Replay: the same seeded chaos workload records the same injection
 // decisions for the scheduler's stream bindings when thread streams are

@@ -101,18 +101,23 @@ struct SpanprofTest : ::testing::Test {
   std::unique_ptr<inject::Engine> engine;
 };
 
+// Span is structure, not schedule: the serial run (1 worker) and a
+// stealing one (4 workers) must both read the closed form.
 TEST_F(SpanprofTest, BalancedTreeMatchesClosedForm) {
-  auto rt = make_rt(4);
-  constexpr int kDepth = 4;
-  constexpr std::uint64_t kBurn = 2'000'000;  // 2ms per node
-  const auto w = run_request(*rt, 2, [] { tree_node(kDepth, kBurn); });
-  // 2^(d+1)-1 = 31 nodes, span chain d+1 = 5 nodes.
-  expect_within(w.work_ns, 31 * kBurn, 0.05, "tree work");
-  expect_within(w.span_ns, 5 * kBurn, 0.05, "tree span");
-  // Average parallelism 31/5 = 6.2.
-  expect_within(w.par_milli, 6200, 0.05, "tree parallelism");
-  EXPECT_GE(w.bspan_ns, w.span_ns);
-  rt->shutdown();
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    auto rt = make_rt(workers);
+    constexpr int kDepth = 4;
+    constexpr std::uint64_t kBurn = 2'000'000;  // 2ms per node
+    const auto w = run_request(*rt, 2, [] { tree_node(kDepth, kBurn); });
+    // 2^(d+1)-1 = 31 nodes, span chain d+1 = 5 nodes.
+    expect_within(w.work_ns, 31 * kBurn, 0.05, "tree work");
+    expect_within(w.span_ns, 5 * kBurn, 0.05, "tree span");
+    // Average parallelism 31/5 = 6.2.
+    expect_within(w.par_milli, 6200, 0.05, "tree parallelism");
+    EXPECT_GE(w.bspan_ns, w.span_ns);
+    rt->shutdown();
+  }
 }
 
 TEST_F(SpanprofTest, SerialChainHasUnitParallelism) {
