@@ -15,7 +15,7 @@
 // computes burst depth, recovery time (first post-burst epoch whose p99 is
 // back within 10% of the pre-burst p99), and the worst epoch.
 //
-// Rows (consumed by tsreport.py and bench/run_baseline.sh):
+// Rows (consumed by scripts/tsreport.py):
 //   RESULT bench=fig_burst scheduler=S phase=meta t0_ns=... epoch_ms=1000 ...
 //   RESULT bench=fig_burst scheduler=S phase=epoch epoch=N count=... p99_us=...
 //   RESULT bench=fig_burst scheduler=S phase=summary pre_p99_ms=... recovery_s=...
@@ -137,7 +137,7 @@ void emit_rows(const char* sched, const BurstProfile& bp,
   // Recovery: seconds from burst end to the start of the first post-burst
   // epoch whose p99 is within 10% of the pre-burst p99. Unrecovered runs
   // report the full post window (worst case) with recovered=0, keeping
-  // recovery_s lower-is-better for bench_diff.py.
+  // recovery_s lower-is-better.
   double recovery_s = bp.post_s;
   int recovered = 0;
   for (std::size_t i = burst_end; i < tb.size(); ++i) {

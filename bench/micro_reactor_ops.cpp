@@ -9,11 +9,7 @@
 //           table and complete from an I/O thread.
 //   timer   N tasks issue short async sleeps through the sharded timers.
 //
-// Run twice to see what the freelists buy:
-//   ./bench/micro_reactor_ops            # pools on (default)
-//   ICILK_IO_POOL=0 ./bench/micro_reactor_ops
-//
-// Machine-readable RESULT lines are consumed by bench/run_baseline.sh.
+// The op_hit / fut_hit columns are the recycling pools' hit rates.
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -118,7 +114,7 @@ Row measure(std::uint64_t ops, Body&& body) {
   return r;
 }
 
-void report(const char* mode, int threads, const Row& r, bool pools_on) {
+void report(const char* mode, int threads, const Row& r) {
   const double ops_per_s = r.ops / r.secs;
   const double ns_per_op = 1e9 * r.secs / static_cast<double>(r.ops);
   const double allocs_per_op =
@@ -150,7 +146,7 @@ void report(const char* mode, int threads, const Row& r, bool pools_on) {
   if (fut_att > 0) {
     std::printf(" fut_pool_hit_rate=%.4f", r.fut_pool.hit_rate());
   }
-  std::printf(" pool=%s\n", pools_on ? "on" : "off");
+  std::printf("\n");
 }
 
 /// inline mode: each task writes then immediately reads its own pipe, so
@@ -228,9 +224,7 @@ void run_timer(Fixture& fx, int threads, std::uint64_t rounds) {
 
 int main(int argc, char** argv) {
   const double scale = (argc > 1) ? std::atof(argv[1]) : 1.0;
-  const bool pools_on = icilk::io_pools_enabled();
-  std::printf("reactor fast-path micro-bench (pools %s)\n",
-              pools_on ? "ON" : "OFF  [ICILK_IO_POOL=0]");
+  std::printf("reactor fast-path micro-bench\n");
   std::printf("%-8s %-4s %12s %10s %12s %10s %10s\n", "mode", "thr",
               "ops/s", "ns/op", "allocs/op", "op_hit", "fut_hit");
 
@@ -249,18 +243,18 @@ int main(int argc, char** argv) {
     // 2 ops per round (write + read), per task.
     const std::uint64_t ops = 2 * inline_rounds * threads;
     const Row r = measure(ops, [&] { run_inline(fx, threads, inline_rounds); });
-    report("inline", threads, r, pools_on);
+    report("inline", threads, r);
   }
   for (const int threads : {2, 4, 8}) {
     const std::uint64_t ops =
         2 * armed_rounds * static_cast<std::uint64_t>(threads);
     const Row r = measure(ops, [&] { run_armed(fx, threads, armed_rounds); });
-    report("armed", threads, r, pools_on);
+    report("armed", threads, r);
   }
   for (const int threads : {4, 8}) {
     const std::uint64_t ops = timer_rounds * threads;
     const Row r = measure(ops, [&] { run_timer(fx, threads, timer_rounds); });
-    report("timer", threads, r, pools_on);
+    report("timer", threads, r);
   }
   return 0;
 }

@@ -10,13 +10,10 @@
 //                dispatch hook TLS traffic.
 //
 // The pooled allocator makes steady-state begin/end allocation-free; this
-// binary ASSERTS that (exit 1 on violation) when pools are on, so the
-// zero-allocs-per-request claim in DESIGN.md is enforced, not aspirational.
+// binary ASSERTS that (exit 1 on violation), so the zero-allocs-per-request
+// claim in DESIGN.md is enforced, not aspirational.
 //
-//   ./bench/micro_reqtrace              # pools on (default)
-//   ICILK_IO_POOL=0 ./bench/micro_reqtrace
-//
-// RESULT lines are consumed by bench/run_baseline.sh.
+// RESULT lines are consumed by scripts/soak.sh's hook-pricing check.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -25,7 +22,6 @@
 #include <memory>
 #include <new>
 
-#include "concurrent/objpool.hpp"
 #include "core/api.hpp"
 #include "core/prompt_scheduler.hpp"
 #include "obs/reqtrace.hpp"
@@ -75,10 +71,9 @@ double ns_per(const Clock::time_point& t0, const Clock::time_point& t1,
 void result(const char* mode, std::uint64_t ops, double ns_op,
             double allocs_op) {
   std::printf(
-      "RESULT bench=reqtrace mode=%s pools=%s ops=%llu ns_per_op=%.1f "
+      "RESULT bench=reqtrace mode=%s ops=%llu ns_per_op=%.1f "
       "allocs_per_op=%.4f\n",
-      mode, io_pools_enabled() ? "on" : "off",
-      static_cast<unsigned long long>(ops), ns_op, allocs_op);
+      mode, static_cast<unsigned long long>(ops), ns_op, allocs_op);
 }
 
 volatile std::uint64_t g_sink = 0;
@@ -106,10 +101,10 @@ bool bench_begin_end() {
   const std::uint64_t allocs = g_allocs.load() - a0;
   result("begin_end", kOps, ns_per(t0, t1, kOps),
          static_cast<double>(allocs) / static_cast<double>(kOps));
-  if (io_pools_enabled() && allocs != 0) {
+  if (allocs != 0) {
     std::fprintf(stderr,
                  "FAIL: begin/end allocated %llu times over %llu requests "
-                 "with pools on (expected 0)\n",
+                 "(expected 0)\n",
                  static_cast<unsigned long long>(allocs),
                  static_cast<unsigned long long>(kOps));
     return false;
@@ -184,10 +179,10 @@ bool bench_runtime() {
   // of noise (other threads, reservoir churn during warmup).
   const std::uint64_t delta =
       req_allocs > base_allocs ? req_allocs - base_allocs : 0;
-  if (io_pools_enabled() && delta > kOps / 100) {
+  if (delta > kOps / 100) {
     std::fprintf(stderr,
                  "FAIL: attribution added %llu allocs over %llu requests "
-                 "(baseline %llu) with pools on\n",
+                 "(baseline %llu)\n",
                  static_cast<unsigned long long>(delta),
                  static_cast<unsigned long long>(kOps),
                  static_cast<unsigned long long>(base_allocs));
@@ -200,9 +195,8 @@ bool bench_runtime() {
 
 int main() {
   if (!obs::hooks_compiled_in()) {
-    std::printf("RESULT bench=reqtrace mode=disabled pools=%s ops=0 "
-                "ns_per_op=0.0 allocs_per_op=0.0\n",
-                io_pools_enabled() ? "on" : "off");
+    std::printf("RESULT bench=reqtrace mode=disabled ops=0 "
+                "ns_per_op=0.0 allocs_per_op=0.0\n");
     // Class-level paths still work under ICILK_HOOKS=OFF; measure them
     // anyway (they are what the hooks would call).
   }

@@ -1,7 +1,7 @@
 // Scheduler hot-path micro-bench: the per-operation costs the fig1 tail
 // is built from, isolated from I/O and load-generator noise.
 //
-// Modes (RESULT lines consumed by bench/run_baseline.sh):
+// Modes (one machine-parseable RESULT line each):
 //   sync_noop     sync() with no outstanding children — the pure pre-op
 //                 promptness gate. With the inlined gate armed (Prompt at
 //                 check_period 1, the default) this is a handful of loads.

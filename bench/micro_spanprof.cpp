@@ -39,8 +39,8 @@
 //                                     # violation
 //   ./bench/micro_spanprof --control  # harness self-test (see above)
 //
-// RESULT lines are consumed by bench/run_baseline.sh; TRIAL lines are
-// per-trial transparency for humans and stay out of the capture.
+// RESULT lines are consumed by scripts/soak.sh's hook-pricing check;
+// TRIAL lines are per-trial transparency for humans.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -236,8 +236,7 @@ PointVerdict bench_mc_point(double rps, int pairs, bool control,
       a = run_mc_trial_icilk(prompt_config().make, opt);
     }
     // TRIAL (not RESULT): per-trial transparency for a human reading the
-    // log; run_baseline.sh must only collect the aggregate rows, or the
-    // capture would carry one identity per pair and never diff.
+    // log; RESULT carries only the aggregate rows.
     auto trial_row = [&](const char* sp, const McTrialResult& r) {
       std::printf("TRIAL bench=spanprof mode=mc sp=%s pair=%d rps=%.0f "
                   "completed=%zu p50_us=%.2f mean_us=%.2f p99_ms=%.3f "

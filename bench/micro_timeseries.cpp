@@ -14,14 +14,13 @@
 //                interleaved pairs, min-filtered on mean latency); the
 //                overhead row reports the mean-latency delta. The
 //                ISSUE-level acceptance is <= 2%; shared-host CI noise
-//                exceeds that, so the hard gate (--strict) is opt-in and
-//                run_baseline.sh just records it.
+//                exceeds that, so the hard gate (--strict) is opt-in.
 //
 //   ./bench/micro_timeseries           # hook rows + mc rows
 //   ./bench/micro_timeseries hooks     # hook rows only (fast; CI/soak)
 //   ./bench/micro_timeseries --strict  # exit 1 if overhead > 2%
 //
-// RESULT lines are consumed by bench/run_baseline.sh.
+// RESULT lines are consumed by scripts/soak.sh's hook-pricing check.
 #include <chrono>
 #include <cstdio>
 #include <cstring>

@@ -14,16 +14,11 @@
 //   * happens-before for block reuse is inherited: same-thread reuse is
 //     program order, cross-thread blocks only travel through the depot's
 //     lock. TSan-clean by construction.
-//
-// ICILK_IO_POOL=0 in the environment disables recycling (every alloc falls
-// through to ::operator new) — the before/after axis for
-// bench/micro_reactor_ops.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <utility>
 #include <vector>
@@ -38,15 +33,6 @@ inline int thread_ordinal() noexcept {
   static std::atomic<int> next{0};
   thread_local const int id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-/// True unless ICILK_IO_POOL=0 is set (checked once).
-inline bool io_pools_enabled() noexcept {
-  static const bool on = [] {
-    const char* e = std::getenv("ICILK_IO_POOL");
-    return !(e != nullptr && e[0] == '0' && e[1] == '\0');
-  }();
-  return on;
 }
 
 struct PoolCountersSnapshot {
@@ -78,29 +64,25 @@ class BlockPool {
   static constexpr std::size_t kDepotCap = 4096;    // blocks in the depot
 
   static void* alloc() {
-    if (io_pools_enabled()) {
-      Cache& c = cache();
-      if (c.blocks.empty()) refill(c);
-      if (!c.blocks.empty()) {
-        counters().hits.fetch_add(1, std::memory_order_relaxed);
-        void* p = c.blocks.back();
-        c.blocks.pop_back();
-        return p;
-      }
+    Cache& c = cache();
+    if (c.blocks.empty()) refill(c);
+    if (!c.blocks.empty()) {
+      counters().hits.fetch_add(1, std::memory_order_relaxed);
+      void* p = c.blocks.back();
+      c.blocks.pop_back();
+      return p;
     }
     counters().misses.fetch_add(1, std::memory_order_relaxed);
     return ::operator new(BlockSize);
   }
 
   static void dealloc(void* p) noexcept {
-    if (io_pools_enabled()) {
-      Cache& c = cache();
-      if (c.blocks.size() >= kMagazineCap) flush(c);
-      if (c.blocks.size() < kMagazineCap) {  // flush can fail on a full depot
-        c.blocks.push_back(p);               // reserved; never reallocates
-        counters().recycled.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+    Cache& c = cache();
+    if (c.blocks.size() >= kMagazineCap) flush(c);
+    if (c.blocks.size() < kMagazineCap) {  // flush can fail on a full depot
+      c.blocks.push_back(p);               // reserved; never reallocates
+      counters().recycled.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
     ::operator delete(p);
   }

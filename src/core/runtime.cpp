@@ -29,7 +29,7 @@ __attribute__((noipa)) Worker* this_worker() noexcept { return tls_worker; }
 Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     : cfg_(cfg),
       metrics_(cfg.num_levels),
-      trace_(cfg.trace_ring_capacity, cfg.trace_events),
+      trace_(obs::TraceSink::kDefaultCapacity, cfg.trace_events),
       sched_(std::move(sched)),
       stacks_(cfg.stack_size) {
   assert(cfg_.num_workers >= 1);
@@ -52,7 +52,6 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     // registers with the profiler in its prologue. Cold until a window
     // opens (timers are created disarmed).
     obs::Profiler::Config pc;
-    pc.default_hz = cfg_.profiler_hz;
     pc.metrics = &metrics_;
     pc.num_levels = cfg_.num_levels;
     profiler_ = std::make_unique<obs::Profiler>(pc);
@@ -80,7 +79,7 @@ Runtime::Runtime(const RuntimeConfig& cfg, std::unique_ptr<Scheduler> sched)
     wc.period_ms = cfg_.watchdog_period_ms;
     wc.bundle_dir = cfg_.watchdog_bundle_dir;
     wc.scheduler = sched_->name();
-    wc.handle_sigusr2 = cfg_.watchdog_sigusr2;
+    wc.handle_sigusr2 = true;
     wc.metrics = &metrics_;
     wc.trace = &trace_;
     wc.timeseries = timeseries_.get();
@@ -292,24 +291,11 @@ void Runtime::finish_task(TaskFiber* tf) {
     if (tf->st.req_owner) {
       // Safety net: the root task ended without req_end (early return or
       // exception path). Record the timeline rather than leak/lose it.
-      obs::ReqContext* rc = tf->st.req;
-      const std::uint64_t total = rc->close();
-      ICILK_TRACE_RECORD(w->trace, obs::EventKind::kReqEnd, tf->st.priority,
-                         static_cast<std::uint32_t>(rc->id));
-      metrics_.record_request(*rc, total);
-      obs::ts_note_request(timeseries(), tf->st.priority, total);
-      if (const obs::SpanAcc& sp = tf->st.sp;
-          sp.depth > sp.req_depth0) {
-        metrics_.record_parallelism(tf->st.priority, rc->id,
-                                    sp.work - sp.req_work0,
-                                    sp.depth - sp.req_depth0,
-                                    sp.bdepth - sp.req_bdepth0);
-      }
-      obs::ReqContext::destroy(rc);
+      close_request(w, tf, true);
+    } else {
+      tf->st.req = nullptr;
+      obs::req_set_current(nullptr);
     }
-    tf->st.req = nullptr;
-    tf->st.req_owner = false;
-    obs::req_set_current(nullptr);
   }
 #endif
 
@@ -667,34 +653,39 @@ void Runtime::req_finish(bool record) {
   // Join spawned children first: they carry the context pointer for I/O
   // tagging and must not outlive it.
   sync_impl();
-  w = this_worker();  // the sync may have migrated us
-  obs::ReqContext* rc = self->st.req;
+  // The sync joined every child, so once this strand closes the fiber's
+  // accumulators hold the whole request DAG; deltas against the req_begin
+  // baselines are this request's work and span.
+  obs::sp_strand_now();
+  close_request(this_worker(), self, record);  // the sync may have migrated us
+#else
+  (void)record;
+#endif
+}
+
+#if ICILK_HOOKS_ENABLED
+void Runtime::close_request(Worker* w, TaskFiber* tf, bool record) {
+  obs::ReqContext* rc = tf->st.req;
   const std::uint64_t total = rc->close();
-  ICILK_TRACE_RECORD(w->trace, obs::EventKind::kReqEnd, self->st.priority,
+  ICILK_TRACE_RECORD(w->trace, obs::EventKind::kReqEnd, tf->st.priority,
                      static_cast<std::uint32_t>(rc->id));
   if (record) {
     metrics_.record_request(*rc, total);
-    obs::ts_note_request(timeseries(), self->st.priority, total);
-    // The sync above joined every child, so the fiber's accumulators hold
-    // the whole request DAG; deltas against the req_begin baselines are
-    // this request's work and span.
-    obs::sp_strand_now();
-    const obs::SpanAcc& sp = self->st.sp;
+    obs::ts_note_request(timeseries(), tf->st.priority, total);
+    const obs::SpanAcc& sp = tf->st.sp;
     if (sp.depth > sp.req_depth0) {
-      metrics_.record_parallelism(self->st.priority, rc->id,
+      metrics_.record_parallelism(tf->st.priority, rc->id,
                                   sp.work - sp.req_work0,
                                   sp.depth - sp.req_depth0,
                                   sp.bdepth - sp.req_bdepth0);
     }
   }
-  self->st.req = nullptr;
-  self->st.req_owner = false;
+  tf->st.req = nullptr;
+  tf->st.req_owner = false;
   obs::req_set_current(nullptr);
   obs::ReqContext::destroy(rc);
-#else
-  (void)record;
-#endif
 }
+#endif
 
 // ---------------------------------------------------------------------------
 // Futures: waiting and completion

@@ -294,6 +294,11 @@ class Runtime {
   void recycle(TaskFiber* tf);
 
 #if ICILK_HOOKS_ENABLED
+  /// Closes the request `tf` owns: kReqEnd trace, then (when `record`)
+  /// its latency, time-series and work/span samples; clears the fiber's
+  /// request slot and frees the context. The caller has closed the
+  /// fiber's final strand, so the span deltas cover the whole request.
+  void close_request(Worker* w, TaskFiber* tf, bool record);
   /// The watchdog's (and epoch ticker's) sample_fn: scheduler wd_fill +
   /// worker state words + census gauges + cumulative task count +
   /// deque-census registry + io gauges. Runs on the sampler/ticker

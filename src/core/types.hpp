@@ -68,26 +68,15 @@ struct RuntimeConfig {
   /// (src/obs/trace.hpp). Can also be toggled at runtime via
   /// Runtime::trace_sink().set_enabled(); no-op when built ICILK_HOOKS=OFF.
   bool trace_events = false;
-  /// Capacity (events, rounded up to a power of two) of each trace ring.
-  std::size_t trace_ring_capacity = std::size_t{1} << 15;
   /// Run the watchdog/flight-recorder sampler thread (src/obs/watchdog.hpp):
   /// periodic scheduler-state snapshots, invariant detectors, and post-mortem
-  /// bundle dumps. No-op when built ICILK_HOOKS=OFF.
+  /// bundle dumps; `kill -USR2 <pid>` dumps a bundle on demand. No-op when
+  /// built ICILK_HOOKS=OFF.
   bool watchdog_enabled = false;
   /// Watchdog sampling period.
   int watchdog_period_ms = 10;
   /// Directory flight-recorder bundles are written into.
   std::string watchdog_bundle_dir = ".";
-  /// Install a process-wide SIGUSR2 handler so `kill -USR2 <pid>` dumps a
-  /// flight bundle on demand. Only takes effect with watchdog_enabled.
-  bool watchdog_sigusr2 = true;
-
-  /// Default SIGPROF sample rate for profiler windows opened without an
-  /// explicit rate (src/obs/profiler.hpp). The profiler itself is always
-  /// constructed when built ICILK_HOOKS=ON but its per-thread timers
-  /// stay disarmed until a window opens (/profile, `stats icilk profile`,
-  /// or bench --profile-out), so this costs nothing at rest.
-  int profiler_hz = 99;
 
   /// Run the windowed time-series epoch ticker (src/obs/timeseries.hpp):
   /// one background thread closing an epoch every timeseries_epoch_ms,

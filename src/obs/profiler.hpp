@@ -52,7 +52,7 @@
 //     store per scheduler transition; timers exist but are disarmed.
 //   * Window open: ~hz signals/second of CPU time per busy thread, each
 //     one backtrace (a few microseconds). 99Hz costs <2% of fig1 p99
-//     (gated by scripts/bench_diff.py against the baseline file).
+//     (measured against an unprofiled fig1 run; README.md has the figures).
 #pragma once
 
 #include <atomic>

@@ -125,7 +125,7 @@ class ReqContext {
   }
 
   // Pooled allocation so begin/end allocate nothing in steady state
-  // (ICILK_IO_POOL=0 disables recycling; bench/micro_reqtrace measures).
+  // (bench/micro_reqtrace measures, and fails if they do).
   static ReqContext* create() { return Pool::create(); }
   static void destroy(ReqContext* rc) noexcept { Pool::destroy(rc); }
   static PoolCountersSnapshot pool_stats() noexcept { return Pool::stats(); }

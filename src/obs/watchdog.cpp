@@ -428,29 +428,33 @@ void Watchdog::run_detectors(const WdSample& s) {
 }
 
 void Watchdog::trip(WdDetector d, const WdSample& s, std::string detail) {
-  trips_[static_cast<int>(d)].fetch_add(1, std::memory_order_relaxed);
-  if (cfg_.metrics != nullptr) {
-    cfg_.metrics->wd_set(wd_trip_gauge(d),
-                         static_cast<std::int64_t>(trips(d)));
-  }
-  // Auto bundles are rate-limited and capped; a persistently bad system
-  // should not fill the disk.
+  const int i = static_cast<int>(d);
+  // Auto bundles are rate-limited per detector and capped overall; a
+  // persistently bad system should not fill the disk, and one detector's
+  // trips should not crowd out another's bundle.
   bool write = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
     std::uint64_t now = now_ns();
     if (auto_bundles_.load(std::memory_order_relaxed) <
             static_cast<std::uint64_t>(cfg_.max_auto_bundles) &&
-        (last_auto_bundle_ns_ == 0 ||
-         now - last_auto_bundle_ns_ >=
+        (last_auto_bundle_ns_[i] == 0 ||
+         now - last_auto_bundle_ns_[i] >=
              cfg_.bundle_min_interval_ms * 1000000ull)) {
-      last_auto_bundle_ns_ = now;
+      last_auto_bundle_ns_[i] = now;
       write = true;
     }
   }
   if (write) {
     auto_bundles_.fetch_add(1, std::memory_order_relaxed);
-    write_bundle(wd_detector_name(d), detail, s);
+    write_bundle(wd_detector_name(d), detail, s, d);
+  }
+  // Counted only once the trip's bundle is on disk: a reader that sees
+  // the trip also sees its bundle.
+  trips_[i].fetch_add(1, std::memory_order_release);
+  if (cfg_.metrics != nullptr) {
+    cfg_.metrics->wd_set(wd_trip_gauge(d),
+                         static_cast<std::int64_t>(trips(d)));
   }
 }
 
@@ -460,7 +464,7 @@ std::string Watchdog::dump_now(const std::string& reason) {
 
 std::string Watchdog::write_bundle(const std::string& reason,
                                    const std::string& detail,
-                                   const WdSample& snap) {
+                                   const WdSample& snap, WdDetector tripped) {
   FlightBundle b;
   b.reason = reason;
   b.detail = detail;
@@ -470,7 +474,8 @@ std::string Watchdog::write_bundle(const std::string& reason,
   b.trigger = snap;
   b.history = history();
   for (int d = 0; d < kWdDetectorCount; ++d) {
-    b.trip_counts[d] = trips_[d].load(std::memory_order_relaxed);
+    b.trip_counts[d] = trips_[d].load(std::memory_order_relaxed) +
+                       (d == static_cast<int>(tripped) ? 1 : 0);
   }
   b.bundles_written = bundles_.load(std::memory_order_relaxed);
   b.metrics = cfg_.metrics;

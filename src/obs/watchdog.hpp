@@ -248,8 +248,9 @@ class Watchdog {
     // ---- bundles ----
     std::string bundle_dir = ".";
     std::string bundle_prefix = "icilk_flight";
-    /// Auto (detector-tripped) bundles are rate-limited and capped;
-    /// manual dumps (dump_now / SIGUSR2) are always honored.
+    /// Auto (detector-tripped) bundles are rate-limited per detector and
+    /// capped in total; manual dumps (dump_now / SIGUSR2) are always
+    /// honored.
     int max_auto_bundles = 3;
     std::uint64_t bundle_min_interval_ms = 1000;
     /// Poll the process-wide SIGUSR2 counter and dump on each delivery
@@ -293,7 +294,7 @@ class Watchdog {
   WdSample latest() const;
 
   std::uint64_t trips(WdDetector d) const noexcept {
-    return trips_[static_cast<int>(d)].load(std::memory_order_relaxed);
+    return trips_[static_cast<int>(d)].load(std::memory_order_acquire);
   }
   std::uint64_t trips_total() const noexcept;
   std::uint64_t bundles_written() const noexcept {
@@ -328,8 +329,11 @@ class Watchdog {
   void loop();
   void run_detectors(const WdSample& s);
   void trip(WdDetector d, const WdSample& s, std::string detail);
+  /// `tripped` is the detector whose trip the bundle records (its count
+  /// is bumped after the bundle is on disk); kCount for a manual dump.
   std::string write_bundle(const std::string& reason,
-                           const std::string& detail, const WdSample& snap);
+                           const std::string& detail, const WdSample& snap,
+                           WdDetector tripped = WdDetector::kCount);
   void mirror_gauges(const WdSample& s);
 
   Config cfg_;
@@ -357,7 +361,7 @@ class Watchdog {
   std::uint32_t leak_prev_suspended_ = 0;
   std::uint64_t leak_prev_tasks_ = 0;
   bool aging_armed_ = true;
-  std::uint64_t last_auto_bundle_ns_ = 0;
+  std::uint64_t last_auto_bundle_ns_[kWdDetectorCount] = {};
   std::uint64_t sigusr2_handled_ = 0;
 
   std::atomic<std::uint64_t> samples_{0};

@@ -32,14 +32,12 @@ TEST(ObjectPool, SameThreadReuseReturnsSameBlock) {
   Pool::destroy(a);
   Payload* b = Pool::create(2);
   EXPECT_EQ(b->value, 2);
-  if (io_pools_enabled()) {
-    // The magazine hands back the block we just freed.
-    EXPECT_EQ(b, a);
-    const auto s = Pool::stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.recycled, 1u);
-  }
+  // The magazine hands back the block we just freed.
+  EXPECT_EQ(b, a);
+  const auto s = Pool::stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.recycled, 1u);
   Pool::destroy(b);
 }
 
@@ -61,7 +59,6 @@ TEST(ObjectPool, ConstructorAndDestructorRun) {
 TEST(ObjectPool, SteadyStateHitRateApproachesOne) {
   struct Tag {};
   using Pool = ObjectPool<Payload, Tag>;
-  if (!io_pools_enabled()) GTEST_SKIP() << "ICILK_IO_POOL=0";
   for (int i = 0; i < 10000; ++i) {
     Payload* p = Pool::create(i);
     Pool::destroy(p);
@@ -107,16 +104,14 @@ TEST(SizedPool, RoundTripsAllSizeClasses) {
     std::memset(p, 0xAB, sz);  // must be writable end to end
     sized_pool_free(p, sz);
   }
-  if (io_pools_enabled()) {
-    // Reuse inside a class: second alloc of the same class is a hit.
-    void* a = sized_pool_alloc(96);
-    sized_pool_free(a, 96);
-    const auto before = sized_pool_stats();
-    void* b = sized_pool_alloc(100);  // same 128-byte class
-    const auto after = sized_pool_stats();
-    EXPECT_EQ(after.hits, before.hits + 1);
-    sized_pool_free(b, 100);
-  }
+  // Reuse inside a class: second alloc of the same class is a hit.
+  void* a = sized_pool_alloc(96);
+  sized_pool_free(a, 96);
+  const auto before = sized_pool_stats();
+  void* b = sized_pool_alloc(100);  // same 128-byte class
+  const auto after = sized_pool_stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  sized_pool_free(b, 100);
 }
 
 TEST(ThreadOrdinal, StablePerThreadAndDistinctAcrossThreads) {

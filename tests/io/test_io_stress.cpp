@@ -126,14 +126,12 @@ TEST_F(IoStress, PingPongPairsWithTimersAndChurn) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(bytes.load(), 2ull * kPairs * kRounds);
 
-  // Pool sanity: with recycling on, steady state must be overwhelmingly
-  // freelist hits (this workload reuses each op size thousands of times).
-  if (io_pools_enabled()) {
-    const auto fut = IoReactor::future_pool_stats();
-    EXPECT_GT(fut.hits + fut.misses, 0u);
-    EXPECT_GT(fut.hit_rate(), 0.9) << "hits=" << fut.hits
-                                   << " misses=" << fut.misses;
-  }
+  // Pool sanity: steady state must be overwhelmingly freelist hits (this
+  // workload reuses each op size thousands of times).
+  const auto fut = IoReactor::future_pool_stats();
+  EXPECT_GT(fut.hits + fut.misses, 0u);
+  EXPECT_GT(fut.hit_rate(), 0.9) << "hits=" << fut.hits
+                                 << " misses=" << fut.misses;
 }
 
 TEST_F(IoStress, ConcurrentSleepersAcrossShards) {

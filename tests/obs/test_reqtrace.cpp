@@ -147,14 +147,9 @@ TEST(ReqContext, PoolRecyclesInSteadyState) {
     ReqContext::destroy(rc);
   }
   const auto after = ReqContext::pool_stats();
-  if (before.recycled > 0 || after.recycled > before.recycled) {
-    // Pooling enabled (ICILK_IO_POOL=1): steady state allocates nothing.
-    EXPECT_EQ(after.misses, before.misses);
-    EXPECT_GE(after.hits, before.hits + 64);
-  } else {
-    // Pooling compiled out: every create is a miss, by design.
-    EXPECT_GE(after.misses, before.misses + 64);
-  }
+  // Steady state allocates nothing.
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_GE(after.hits, before.hits + 64);
 }
 
 TEST(ReqHooks, NullAndNonOwnerAreNoOps) {

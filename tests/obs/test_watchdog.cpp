@@ -13,10 +13,12 @@
 //     race that scripts/soak.sh runs under TSan/ASan.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -503,13 +505,15 @@ TEST(WdSignal, Sigusr2TriggersBundle) {
 // End-to-end: real runtime, inject-forced scenarios, clean controls
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Runtime> make_wd_rt(int workers, int period_ms = 5) {
+std::unique_ptr<Runtime> make_wd_rt(
+    int workers, int period_ms = 5,
+    std::string bundle_dir = testing::TempDir()) {
   RuntimeConfig cfg;
   cfg.num_workers = workers;
   cfg.num_levels = 8;
   cfg.watchdog_enabled = true;
   cfg.watchdog_period_ms = period_ms;
-  cfg.watchdog_bundle_dir = testing::TempDir();
+  cfg.watchdog_bundle_dir = std::move(bundle_dir);
   return std::make_unique<Runtime>(cfg,
                                    std::make_unique<PromptScheduler>());
 }
@@ -552,7 +556,15 @@ TEST(WdEndToEnd, InjectPromptMaskTripsPromptnessDetector) {
   inject::Engine engine(icfg);
   engine.install();
 
-  auto rt = make_wd_rt(2, 5);
+  // A bundle directory of its own: the masked level also ages, so an
+  // aging-stall bundle may land beside the promptness one, and the last
+  // bundle path names whichever came last.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) /
+      ("wd_promptness_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto rt = make_wd_rt(2, 5, dir.string());
   ASSERT_NE(rt->watchdog(), nullptr);
   std::atomic<bool> stop{false};
   std::atomic<int> started{0};
@@ -583,13 +595,16 @@ TEST(WdEndToEnd, InjectPromptMaskTripsPromptnessDetector) {
   EXPECT_TRUE(tripped) << "masked workers never surfaced as a violation";
   // The auto bundle must carry the injection seed for replay.
   ASSERT_GE(rt->watchdog()->bundles_written(), 1u);
-  const ParsedFlightBundle b =
-      parse_flight_bundle(read_file(rt->watchdog()->last_bundle_path()));
-  ASSERT_TRUE(b.ok) << b.error;
+  rt->shutdown();  // stops the sampler: no bundle is half-written below
+  ParsedFlightBundle b;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    ParsedFlightBundle p = parse_flight_bundle(read_file(e.path().string()));
+    ASSERT_TRUE(p.ok) << e.path() << ": " << p.error;
+    if (p.reason == "promptness") b = p;
+  }
   EXPECT_EQ(b.reason, "promptness");
   EXPECT_EQ(b.inject_seed, 0xC0FFEEull);
-  std::remove(rt->watchdog()->last_bundle_path().c_str());
-  rt->shutdown();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WdEndToEnd, PlantedStaleResumableTripsAgingDetector) {
